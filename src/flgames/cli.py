@@ -6,8 +6,8 @@ carry each value twice: the exact rational, and a readable decimal
 approximation (12 places, truncated) in a sibling *_decimal field.
 
 Exit codes: 0 success, 2 parse failure, 3 enumeration guard exceeded,
-4 mechanism/space mismatch.  The environment variable FLG_GUARD
-overrides the default enumeration guard of 10^7.
+4 mechanism/space mismatch.  The environment variable FLG_GUARD, a
+positive integer, overrides the default enumeration guard of 10^7.
 """
 
 from __future__ import annotations
@@ -425,7 +425,9 @@ def main(argv=None) -> int:
         try:
             guard = int(raw_guard)
         except ValueError:
-            print(f"FLG_GUARD must be an integer, got {raw_guard!r}", file=sys.stderr)
+            guard = 0  # reported below with the other non-positive values
+        if guard <= 0:
+            print(f"FLG_GUARD must be a positive integer, got {raw_guard!r}", file=sys.stderr)
             return EXIT_PARSE
     try:
         return args.handler(args, guard)

@@ -17,7 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
@@ -44,6 +44,18 @@ def parse_scalar(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"not an exact number: {value!r}") from None
     raise TypeError(f"cannot parse {type(value).__name__} exactly; use str, int, or Fraction")
+
+
+def scale_to_integers(values) -> tuple[int, list[int]]:
+    """The common denominator of exact rationals and their numerators over it.
+
+    Scaling by a positive constant keeps every sum, difference and order
+    comparison, so code that only compares distances can run on these
+    Python ints and decide exactly as it would on the Fractions.
+    """
+    values = list(values)
+    scale = lcm(*{v.denominator for v in values})
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def validate_objective(objective: str) -> str:
@@ -75,6 +87,9 @@ class FiniteMetric:
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
+    # the same matrix as ints over one common denominator; mechanisms
+    # compare distances on it
+    scaled: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(parse_scalar(entry) for entry in row) for row in self.matrix)
@@ -84,10 +99,10 @@ class FiniteMetric:
             raise ValueError("empty distance matrix")
         if any(len(row) != p for row in rows):
             raise ValueError("distance matrix is not square")
-        # Scale to a common denominator once so the O(p^3) triangle scan
-        # runs on machine integers instead of Fraction arithmetic.
-        scale = lcm(*{entry.denominator for row in rows for entry in row})
-        ints = [[entry.numerator * (scale // entry.denominator) for entry in row] for row in rows]
+        # The O(p^3) triangle scan runs on integers, not Fractions.
+        _, flat = scale_to_integers(entry for row in rows for entry in row)
+        ints = tuple(tuple(flat[i * p : (i + 1) * p]) for i in range(p))
+        object.__setattr__(self, "scaled", ints)
         for i in range(p):
             if ints[i][i] != 0:
                 raise ValueError(f"nonzero self-distance at point {i + 1}")

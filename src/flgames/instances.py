@@ -18,9 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .core import Instance, line_instance, metric_instance, parse_scalar
+from .core import Instance, line_instance, metric_instance, parse_scalar, scale_to_integers
 
 # Coordinates and edge weights are drawn from a fixed fine grid so that
 # exact ties occur with realistic frequency instead of never.
@@ -195,8 +194,8 @@ def metric_closure(matrix) -> tuple[tuple[Fraction, ...], ...]:
                 raise ValueError(f"asymmetric weights between points {i + 1} and {j + 1}")
             if rows[i][j] < 0:
                 raise ValueError(f"negative weight between points {i + 1} and {j + 1}")
-    scale = lcm(*{entry.denominator for row in rows for entry in row})
-    dist = [[entry.numerator * (scale // entry.denominator) for entry in row] for row in rows]
+    scale, flat = scale_to_integers(entry for row in rows for entry in row)
+    dist = [flat[i * p : (i + 1) * p] for i in range(p)]
     for mid in range(p):
         row_mid = dist[mid]
         for i in range(p):

@@ -24,6 +24,13 @@ Tie-breaking is part of each rule's definition and is exact:
 
 Coordinate ties between candidates at the same location fall back to
 the smaller index; the selected location is unaffected.
+
+Every rule decides on Python ints.  On the line, one apply scales the
+agents and candidates to one common denominator; a finite metric keeps
+its distance matrix scaled the same way.  Scaling by a positive
+constant keeps every distance comparison, so each decision, tie rules
+included, is exactly the one the rational definition gives.  Outcomes
+and probabilities stay exact Fractions.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from .core import (
     Line,
     Outcome,
     Randomized,
-    distance,
     parse_scalar,
+    scale_to_integers,
 )
 
 
@@ -54,69 +61,74 @@ def _require(instance: Instance, name: str, k: int, line_only: bool) -> None:
         raise MechanismMismatch(f"{name} opens {k} facility(ies), instance asks for {instance.k}")
 
 
-def nearest_candidate_line(instance: Instance, point: Fraction, tie: str) -> int:
-    """1-based index of the candidate closest to point on the line.
+def _scaled_line(points: tuple, candidates: tuple) -> tuple[list[int], list[int]]:
+    """Points and candidate coordinates as ints over one common denominator."""
+    n = len(points)
+    _, ints = scale_to_integers(points + candidates)
+    return ints[:n], ints[n:]
+
+
+def _closest_on_line(candidates: list[int], point: int, tie: str) -> int:
+    """1-based index of the candidate closest to point.
 
     tie "low" prefers the smaller coordinate, "high" the larger; equal
     coordinates fall back to the smaller index.
     """
-    best = None
-    for j, c in enumerate(instance.candidates, start=1):
-        d = abs(c - point)
-        if best is None:
-            best = (d, c, j)
-            continue
-        bd, bc, _ = best
-        if d < bd or (d == bd and (c < bc if tie == "low" else c > bc)):
-            best = (d, c, j)
-    return best[2]
+    d = min(abs(c - point) for c in candidates)
+    first, second = (point - d, point + d) if tie == "low" else (point + d, point - d)
+    return (candidates.index(first) if first in candidates else candidates.index(second)) + 1
 
 
-def nearest_candidate_by_index(instance: Instance, point) -> int:
-    """1-based index of the closest candidate, ties to the smaller index.
-    Works on either space."""
+def _closest_by_index(distances: list[int]) -> int:
+    """1-based index of the smallest distance, ties to the smaller index."""
+    return distances.index(min(distances)) + 1
+
+
+def _distance_rows(instance: Instance, points: tuple) -> list[list[int]]:
+    """Per point, its scaled distance to each candidate, on either space."""
     space = instance.space
-    best_j = 1
-    best_d = distance(space, point, instance.candidate(1))
-    for j in range(2, instance.m + 1):
-        d = distance(space, point, instance.candidate(j))
-        if d < best_d:
-            best_j, best_d = j, d
-    return best_j
+    if isinstance(space, Line):
+        xs, candidates = _scaled_line(points, instance.candidates)
+        return [[abs(c - x) for c in candidates] for x in xs]
+    rows = space.scaled
+    return [[rows[x - 1][c - 1] for c in instance.candidates] for x in points]
 
 
 def leftmost_closest(instance: Instance) -> Deterministic:
     _require(instance, "leftmost", 1, line_only=True)
-    return Deterministic((nearest_candidate_line(instance, min(instance.agents), "low"),))
+    agents, candidates = _scaled_line(instance.agents, instance.candidates)
+    return Deterministic((_closest_on_line(candidates, min(agents), "low"),))
 
 
 def dictatorship(instance: Instance, dictator: int) -> Deterministic:
     if not 1 <= dictator <= instance.n:
         raise MechanismMismatch(f"dictator index {dictator} out of range 1..{instance.n}")
     _require(instance, "dictator", 1, line_only=False)
-    return Deterministic((nearest_candidate_by_index(instance, instance.agent(dictator)),))
+    point = instance.agents[dictator - 1]
+    return Deterministic((_closest_by_index(_distance_rows(instance, (point,))[0]),))
 
 
 def two_extremes(instance: Instance) -> Deterministic:
     _require(instance, "two-extremes", 2, line_only=True)
-    left = nearest_candidate_line(instance, min(instance.agents), "high")
-    right = nearest_candidate_line(instance, max(instance.agents), "low")
+    agents, candidates = _scaled_line(instance.agents, instance.candidates)
+    left = _closest_on_line(candidates, min(agents), "high")
+    right = _closest_on_line(candidates, max(agents), "low")
     return Deterministic((left, right))
 
 
 def median(instance: Instance) -> Deterministic:
     _require(instance, "median", 1, line_only=True)
-    ordered = sorted(instance.agents)
+    agents, candidates = _scaled_line(instance.agents, instance.candidates)
     # left median: rank ceil(n/2), so (1, 5, 9, 10) has median 5
-    pivot = ordered[(instance.n + 1) // 2 - 1]
-    return Deterministic((nearest_candidate_line(instance, pivot, "low"),))
+    pivot = sorted(agents)[(len(agents) + 1) // 2 - 1]
+    return Deterministic((_closest_on_line(candidates, pivot, "low"),))
 
 
 def random_dictatorship(instance: Instance) -> Randomized:
     _require(instance, "rd", 1, line_only=False)
     votes: dict[int, int] = {}
-    for x in instance.agents:
-        j = nearest_candidate_by_index(instance, x)
+    for distances in _distance_rows(instance, instance.agents):
+        j = _closest_by_index(distances)
         votes[j] = votes.get(j, 0) + 1
     n = instance.n
     return Randomized(tuple((Deterministic((j,)), Fraction(count, n)) for j, count in votes.items()))
@@ -129,17 +141,19 @@ def wpv(instance: Instance, weights) -> Randomized:
         raise MechanismMismatch(f"need {instance.n} weights, got {len(ws)}")
     if any(w < 0 for w in ws) or sum(ws) != 1:
         raise MechanismMismatch("weights must be nonnegative and sum to 1")
-    ranked = sorted(instance.agents)
+    agents, candidates = _scaled_line(instance.agents, instance.candidates)
     pairs = []
-    for x, w in zip(ranked, ws):
-        pairs.append((Deterministic((nearest_candidate_line(instance, x, "low"),)), w))
+    for x, w in zip(sorted(agents), ws):
+        pairs.append((Deterministic((_closest_on_line(candidates, x, "low"),)), w))
     return Randomized(tuple(pairs))
 
 
 def closest_to_mean(instance: Instance) -> Deterministic:
     _require(instance, "mean", 1, line_only=True)
-    center = sum(instance.agents, Fraction(0)) / instance.n
-    return Deterministic((nearest_candidate_line(instance, center, "low"),))
+    agents, candidates = _scaled_line(instance.agents, instance.candidates)
+    # |c - S/n| ranks candidates as |c*n - S| does
+    n = len(agents)
+    return Deterministic((_closest_on_line([c * n for c in candidates], sum(agents), "low"),))
 
 
 # ---------------------------------------------------------------------------

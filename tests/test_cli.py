@@ -368,6 +368,14 @@ def test_exit_guard(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_exit_parse_on_nonpositive_guard(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, instance_to_json(LB_BASE))
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("FLG_GUARD", raw)
+        assert main(["solve", path, "--objective", "mc"]) == EXIT_PARSE
+        assert f"FLG_GUARD must be a positive integer, got {raw!r}" in capsys.readouterr().err
+
+
 def test_exit_mismatch(tmp_path, capsys):
     metric_path = write_instance(tmp_path, METRIC_JSON)
     assert main(["run", metric_path, "--mechanism", "leftmost"]) == EXIT_MISMATCH
