@@ -5,9 +5,10 @@ an exact string (decimal or p/q), never binary floating point.  Reports
 carry each value twice: the exact rational, and a readable decimal
 approximation (12 places, truncated) in a sibling *_decimal field.
 
-Exit codes: 0 success, 2 parse failure, 3 enumeration guard exceeded,
-4 mechanism/space mismatch.  The environment variable FLG_GUARD, a
-positive integer, overrides the default enumeration guard of 10^7.
+Exit codes: 0 success, 2 parse or usage failure (including an argument
+out of range), 3 enumeration guard exceeded, 4 mechanism/space mismatch.
+The environment variable FLG_GUARD, a positive integer, overrides the
+default enumeration guard of 10^7.
 """
 
 from __future__ import annotations
@@ -251,6 +252,7 @@ def cmd_verify(args, guard: int) -> int:
         instance, mechanism, misreports=reports, max_coalition=args.group_max, guard=guard
     )
     if witness is None:
+        options = misreport_options(instance, reports)
         payload = {
             "command": "verify",
             "mechanism": mechanism.label(),
@@ -258,13 +260,9 @@ def cmd_verify(args, guard: int) -> int:
             "searched": {
                 "agents": instance.n,
                 "grid_points": reports.grid_points,
-                "misreports_per_agent": [
-                    len(opts) for opts in misreport_options(instance, reports)
-                ],
+                "misreports_per_agent": [len(opts) for opts in options],
                 "max_coalition": args.group_max,
-                "joint_misreports": joint_misreport_count(
-                    instance, reports, args.group_max
-                ),
+                "joint_misreports": joint_misreport_count(options, args.group_max),
             },
         }
     else:
@@ -440,6 +438,10 @@ def main(argv=None) -> int:
     except MechanismMismatch as exc:
         print(f"mechanism mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except ValueError as exc:
+        # an argument the library rejects, e.g. --group-max above n
+        print(f"invalid argument: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -16,7 +16,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -325,8 +324,3 @@ def permute_agents(instance: Instance, permutation: Sequence[int]) -> Instance:
     if sorted(permutation) != list(range(1, instance.n + 1)):
         raise ValueError(f"not a permutation of 1..{instance.n}: {permutation}")
     return instance.replace_agents(tuple(instance.agents[p - 1] for p in permutation))
-
-
-def all_permutations(n: int):
-    """All permutations of 1..n in lexicographic order."""
-    return itertools.permutations(range(1, n + 1))

@@ -31,6 +31,12 @@ its distance matrix scaled the same way.  Scaling by a positive
 constant keeps every distance comparison, so each decision, tie rules
 included, is exactly the one the rational definition gives.  Outcomes
 and probabilities stay exact Fractions.
+
+One table, RULES, gives each kind its rule, the number of facilities it
+opens and whether it is defined on the line only.  MechanismSpec reads
+it when a spec is built, so parse_mechanism rejects unknown names, and
+in apply, which checks the instance's space and k before calling the
+rule.  The specs are the public form of the rules.
 """
 
 from __future__ import annotations
@@ -52,13 +58,6 @@ from .core import (
 
 class MechanismMismatch(ValueError):
     """Mechanism applied to an instance it is not defined for."""
-
-
-def _require(instance: Instance, name: str, k: int, line_only: bool) -> None:
-    if line_only and not isinstance(instance.space, Line):
-        raise MechanismMismatch(f"{name} is defined on the line only")
-    if instance.k != k:
-        raise MechanismMismatch(f"{name} opens {k} facility(ies), instance asks for {instance.k}")
 
 
 def _scaled_line(points: tuple, candidates: tuple) -> tuple[list[int], list[int]]:
@@ -94,38 +93,37 @@ def _distance_rows(instance: Instance, points: tuple) -> list[list[int]]:
     return [[rows[x - 1][c - 1] for c in instance.candidates] for x in points]
 
 
-def leftmost_closest(instance: Instance) -> Deterministic:
-    _require(instance, "leftmost", 1, line_only=True)
+# ---------------------------------------------------------------------------
+# the rules; each takes (instance, spec) once apply has checked its shape
+
+
+def _leftmost(instance: Instance, spec: MechanismSpec) -> Deterministic:
     agents, candidates = _scaled_line(instance.agents, instance.candidates)
     return Deterministic((_closest_on_line(candidates, min(agents), "low"),))
 
 
-def dictatorship(instance: Instance, dictator: int) -> Deterministic:
-    if not 1 <= dictator <= instance.n:
-        raise MechanismMismatch(f"dictator index {dictator} out of range 1..{instance.n}")
-    _require(instance, "dictator", 1, line_only=False)
-    point = instance.agents[dictator - 1]
+def _dictator(instance: Instance, spec: MechanismSpec) -> Deterministic:
+    if spec.dictator > instance.n:
+        raise MechanismMismatch(f"dictator index {spec.dictator} out of range 1..{instance.n}")
+    point = instance.agents[spec.dictator - 1]
     return Deterministic((_closest_by_index(_distance_rows(instance, (point,))[0]),))
 
 
-def two_extremes(instance: Instance) -> Deterministic:
-    _require(instance, "two-extremes", 2, line_only=True)
+def _two_extremes(instance: Instance, spec: MechanismSpec) -> Deterministic:
     agents, candidates = _scaled_line(instance.agents, instance.candidates)
     left = _closest_on_line(candidates, min(agents), "high")
     right = _closest_on_line(candidates, max(agents), "low")
     return Deterministic((left, right))
 
 
-def median(instance: Instance) -> Deterministic:
-    _require(instance, "median", 1, line_only=True)
+def _median(instance: Instance, spec: MechanismSpec) -> Deterministic:
     agents, candidates = _scaled_line(instance.agents, instance.candidates)
     # left median: rank ceil(n/2), so (1, 5, 9, 10) has median 5
     pivot = sorted(agents)[(len(agents) + 1) // 2 - 1]
     return Deterministic((_closest_on_line(candidates, pivot, "low"),))
 
 
-def random_dictatorship(instance: Instance) -> Randomized:
-    _require(instance, "rd", 1, line_only=False)
+def _random_dictatorship(instance: Instance, spec: MechanismSpec) -> Randomized:
     votes: dict[int, int] = {}
     for distances in _distance_rows(instance, instance.agents):
         j = _closest_by_index(distances)
@@ -134,33 +132,37 @@ def random_dictatorship(instance: Instance) -> Randomized:
     return Randomized(tuple((Deterministic((j,)), Fraction(count, n)) for j, count in votes.items()))
 
 
-def wpv(instance: Instance, weights) -> Randomized:
-    _require(instance, "wpv", 1, line_only=True)
-    ws = tuple(parse_scalar(w) for w in weights)
-    if len(ws) != instance.n:
-        raise MechanismMismatch(f"need {instance.n} weights, got {len(ws)}")
-    if any(w < 0 for w in ws) or sum(ws) != 1:
-        raise MechanismMismatch("weights must be nonnegative and sum to 1")
+def _wpv(instance: Instance, spec: MechanismSpec) -> Randomized:
+    if len(spec.weights) != instance.n:
+        raise MechanismMismatch(f"need {instance.n} weights, got {len(spec.weights)}")
     agents, candidates = _scaled_line(instance.agents, instance.candidates)
     pairs = []
-    for x, w in zip(sorted(agents), ws):
+    for x, w in zip(sorted(agents), spec.weights):
         pairs.append((Deterministic((_closest_on_line(candidates, x, "low"),)), w))
     return Randomized(tuple(pairs))
 
 
-def closest_to_mean(instance: Instance) -> Deterministic:
-    _require(instance, "mean", 1, line_only=True)
+def _mean(instance: Instance, spec: MechanismSpec) -> Deterministic:
     agents, candidates = _scaled_line(instance.agents, instance.candidates)
     # |c - S/n| ranks candidates as |c*n - S| does
     n = len(agents)
     return Deterministic((_closest_on_line([c * n for c in candidates], sum(agents), "low"),))
 
 
+# kind -> (rule, facilities it opens, defined on the line only)
+RULES = {
+    "leftmost": (_leftmost, 1, True),
+    "dictator": (_dictator, 1, False),
+    "two-extremes": (_two_extremes, 2, True),
+    "median": (_median, 1, True),
+    "rd": (_random_dictatorship, 1, False),
+    "wpv": (_wpv, 1, True),
+    "mean": (_mean, 1, True),
+}
+
+
 # ---------------------------------------------------------------------------
 # named specs (the CLI-facing form: "leftmost", "dictator:2", "wpv:1/2,1/2")
-
-
-MECHANISM_KINDS = ("leftmost", "dictator", "two-extremes", "median", "rd", "wpv", "mean")
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ class MechanismSpec:
     weights: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in MECHANISM_KINDS:
+        if self.kind not in RULES:
             raise MechanismMismatch(f"unknown mechanism {self.kind!r}")
         if self.kind == "dictator":
             if self.dictator is None or self.dictator < 1:
@@ -178,11 +180,10 @@ class MechanismSpec:
         elif self.kind == "wpv":
             if not self.weights:
                 raise MechanismMismatch("wpv needs a weight vector")
-            object.__setattr__(self, "weights", tuple(parse_scalar(w) for w in self.weights))
-
-    @property
-    def randomized(self) -> bool:
-        return self.kind in ("rd", "wpv")
+            weights = tuple(parse_scalar(w) for w in self.weights)
+            if any(w < 0 for w in weights) or sum(weights) != 1:
+                raise MechanismMismatch("weights must be nonnegative and sum to 1")
+            object.__setattr__(self, "weights", weights)
 
     def label(self) -> str:
         if self.kind == "dictator":
@@ -192,20 +193,15 @@ class MechanismSpec:
         return self.kind
 
     def apply(self, instance: Instance) -> Outcome:
-        kind = self.kind
-        if kind == "leftmost":
-            return leftmost_closest(instance)
-        if kind == "dictator":
-            return dictatorship(instance, self.dictator)
-        if kind == "two-extremes":
-            return two_extremes(instance)
-        if kind == "median":
-            return median(instance)
-        if kind == "rd":
-            return random_dictatorship(instance)
-        if kind == "wpv":
-            return wpv(instance, self.weights)
-        return closest_to_mean(instance)
+        name = self.kind
+        rule, k, line_only = RULES[name]
+        if line_only and not isinstance(instance.space, Line):
+            raise MechanismMismatch(f"{name} is defined on the line only")
+        if instance.k != k:
+            raise MechanismMismatch(
+                f"{name} opens {k} facility(ies), instance asks for {instance.k}"
+            )
+        return rule(instance, self)
 
 
 LEFTMOST = MechanismSpec("leftmost")
@@ -220,7 +216,7 @@ def dictator_spec(i: int) -> MechanismSpec:
 
 
 def wpv_spec(weights) -> MechanismSpec:
-    return MechanismSpec("wpv", weights=tuple(parse_scalar(w) for w in weights))
+    return MechanismSpec("wpv", weights=tuple(weights))
 
 
 def parse_mechanism(text: str) -> MechanismSpec:
@@ -233,9 +229,10 @@ def parse_mechanism(text: str) -> MechanismSpec:
             raise MechanismMismatch(f"bad dictator index {arg!r}") from None
     if name == "wpv":
         try:
-            return wpv_spec(w for w in arg.split(","))
+            weights = [parse_scalar(w) for w in arg.split(",")]
         except ValueError as exc:
             raise MechanismMismatch(f"bad wpv weights {arg!r}: {exc}") from None
+        return wpv_spec(weights)
     if arg:
         raise MechanismMismatch(f"mechanism {name!r} takes no argument")
     return MechanismSpec(name)

@@ -6,10 +6,14 @@ anonymity violations, and approximation ratios above the proven bounds.
 A clean pass is evidence over the searched set, never a proof; a
 returned witness is an exact, replayable counterexample.
 
-Scan order is fixed so witnesses are reproducible: agents ascending,
-misreports ascending, coalitions by size then lexicographic agent
-indices, joint misreports in product order with the last member's
-report varying fastest.
+One loop searches for misreports: unilateral search is the group search
+restricted to coalitions of size 1, under the same guard, just as
+strategyproofness is group strategyproofness for single agents.
+
+Scan order is fixed so witnesses are reproducible: coalitions by size
+then lexicographic agent indices (so single agents ascending first),
+joint misreports in product order with the last member's report
+varying fastest, each member's reports ascending.
 """
 
 from __future__ import annotations
@@ -77,9 +81,6 @@ class MisreportSet:
     def size(self) -> int:
         return len(self.points)
 
-    def for_agent(self, i: int) -> tuple:
-        return self.points
-
 
 def misreport_set(instance: Instance, grid_points: int = DEFAULT_GRID_POINTS) -> MisreportSet:
     if grid_points < 0:
@@ -116,56 +117,32 @@ class DeviationWitness:
     costs_after: tuple[Fraction, ...]
 
 
-def find_unilateral_deviation(
-    instance: Instance,
-    mechanism,
-    misreports: Optional[MisreportSet] = None,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> Optional[DeviationWitness]:
-    """First strictly profitable single-agent misreport in scan order,
-    or None.  Randomized mechanisms are compared in expectation."""
-    if misreports is None:
-        misreports = misreport_set(instance, grid_points)
-    truthful = mechanism.apply(instance)
-    agents = instance.agents
-    for i in range(1, instance.n + 1):
-        base_cost = outcome_agent_cost(instance, truthful, i)
-        if base_cost == 0:
-            continue
-        true_location = agents[i - 1]
-        prefix, suffix = agents[: i - 1], agents[i:]
-        for report in misreports.for_agent(i):
-            if report == true_location:
-                continue
-            shifted = mechanism.apply(_with_agents(instance, prefix + (report,) + suffix))
-            if shifted == truthful:
-                continue
-            new_cost = outcome_agent_cost(instance, shifted, i)
-            if new_cost < base_cost:
-                return DeviationWitness(
-                    (i,), (report,), truthful, shifted, (base_cost,), (new_cost,)
-                )
-    return None
-
-
 def misreport_options(instance: Instance, misreports: MisreportSet) -> list[tuple]:
     """Per-agent reports actually tried: the set minus the agent's own
     true location."""
-    return [
-        tuple(r for r in misreports.for_agent(i) if r != instance.agents[i - 1])
-        for i in range(1, instance.n + 1)
-    ]
+    points = misreports.points
+    options = []
+    for x in instance.agents:
+        # points are distinct, so cutting x out at its index spares
+        # comparing it with every later point
+        try:
+            j = points.index(x)
+        except ValueError:
+            options.append(points)
+        else:
+            options.append(points[:j] + points[j + 1 :])
+    return options
 
 
-def joint_misreport_count(instance: Instance, misreports: MisreportSet, max_coalition: int) -> int:
-    """Total joint reports a group search will try (its guard budget)."""
-    options = misreport_options(instance, misreports)
+def joint_misreport_count(options: list[tuple], max_coalition: int) -> int:
+    """Total joint reports a group search over these per-agent options
+    will try (its guard budget)."""
     total = 0
     for size in range(1, max_coalition + 1):
-        for coalition in itertools.combinations(range(1, instance.n + 1), size):
+        for coalition in itertools.combinations(options, size):
             combos = 1
-            for i in coalition:
-                combos *= len(options[i - 1])
+            for reports in coalition:
+                combos *= len(reports)
             total += combos
     return total
 
@@ -179,46 +156,67 @@ def find_group_deviation(
     guard: int = DEFAULT_GUARD,
 ) -> Optional[DeviationWitness]:
     """First coalition (size <= max_coalition) whose joint misreport
-    strictly improves every member, or None.
+    strictly improves every member, or None.  Randomized mechanisms are
+    compared in expectation.
 
     Members reporting truthfully are not enumerated: a witness with an
     idle member implies a smaller-coalition witness, which the
     size-ascending scan finds first.  Raises GuardExceeded if the total
     number of joint reports to try exceeds the guard.
     """
-    if not 1 <= max_coalition <= instance.n:
-        raise ValueError(f"max_coalition must be in 1..{instance.n}, got {max_coalition}")
+    n = instance.n
+    if not 1 <= max_coalition <= n:
+        raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
     if misreports is None:
         misreports = misreport_set(instance, grid_points)
-    agents = instance.agents
     options = misreport_options(instance, misreports)
-    total = joint_misreport_count(instance, misreports, max_coalition)
+    total = joint_misreport_count(options, max_coalition)
     if total > guard:
         raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
     truthful = mechanism.apply(instance)
-    base_costs = [outcome_agent_cost(instance, truthful, i) for i in range(1, instance.n + 1)]
-    agent_list = list(agents)
+    base_costs = [outcome_agent_cost(instance, truthful, i) for i in range(1, n + 1)]
+    # every agent outside the coalition keeps its one truthful report, so
+    # product() yields whole profiles, the last member's report fastest
+    truthful_choices = [(x,) for x in instance.agents]
     for size in range(1, max_coalition + 1):
-        for coalition in itertools.combinations(range(1, instance.n + 1), size):
-            members_base = tuple(base_costs[i - 1] for i in coalition)
+        for coalition in itertools.combinations(range(1, n + 1), size):
             # an agent already at cost 0 can never strictly improve
-            if any(cost == 0 for cost in members_base):
+            if any(base_costs[i - 1] == 0 for i in coalition):
                 continue
-            for joint in itertools.product(*(options[i - 1] for i in coalition)):
-                profile = agent_list[:]
-                for i, report in zip(coalition, joint):
-                    profile[i - 1] = report
-                shifted = mechanism.apply(_with_agents(instance, tuple(profile)))
+            choices = truthful_choices[:]
+            for i in coalition:
+                choices[i - 1] = options[i - 1]
+            for profile in itertools.product(*choices):
+                shifted = mechanism.apply(_with_agents(instance, profile))
                 if shifted == truthful:
                     continue
-                new_costs = tuple(
-                    outcome_agent_cost(instance, shifted, i) for i in coalition
-                )
-                if all(new < old for new, old in zip(new_costs, members_base)):
+                # members in order, stopping at the first that does not gain
+                for i in coalition:
+                    if not outcome_agent_cost(instance, shifted, i) < base_costs[i - 1]:
+                        break
+                else:
                     return DeviationWitness(
-                        coalition, joint, truthful, shifted, members_base, new_costs
+                        coalition,
+                        tuple(profile[i - 1] for i in coalition),
+                        truthful,
+                        shifted,
+                        tuple(base_costs[i - 1] for i in coalition),
+                        tuple(outcome_agent_cost(instance, shifted, i) for i in coalition),
                     )
     return None
+
+
+def find_unilateral_deviation(
+    instance: Instance,
+    mechanism,
+    misreports: Optional[MisreportSet] = None,
+    grid_points: int = DEFAULT_GRID_POINTS,
+) -> Optional[DeviationWitness]:
+    """First strictly profitable single-agent misreport in scan order,
+    or None: the size-1 group search, under the same default guard."""
+    return find_group_deviation(
+        instance, mechanism, misreports, max_coalition=1, grid_points=grid_points
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +317,8 @@ def iter_sweep(
     """Generate, run, and solve `count` instances of a family, yielding
     one SweepRow per instance."""
     validate_objective(objective)
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     for index in range(count):
         inst = random_instance(family, index)
         cost = outcome_cost(inst, mechanism.apply(inst), objective)

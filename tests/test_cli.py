@@ -358,6 +358,31 @@ def test_exit_parse_on_usage_errors(capsys):
     capsys.readouterr()
 
 
+SWEEP_ARGS = ["sweep", "--family", "line-uniform", "--m", "2", "--mechanism", "leftmost"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "0"],
+        ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "3"],  # n is 2
+        ["verify", "{path}", "--mechanism", "leftmost", "--grid", "-1"],
+        SWEEP_ARGS + ["--n", "0", "--objective", "mc", "--count", "1"],
+        SWEEP_ARGS + ["--n", "2", "--low", "2", "--high", "1", "--objective", "mc", "--count", "1"],
+        SWEEP_ARGS + ["--n", "2", "--objective", "mc", "--count", "-3"],
+        ["replay", "--construction", "single-deterministic", "--mechanism", "leftmost",
+         "--epsilon", "3/2"],
+    ],
+)
+def test_exit_parse_on_out_of_range_arguments(tmp_path, capsys, argv):
+    path = write_instance(tmp_path, instance_to_json(LB_BASE))
+    assert main([arg.replace("{path}", path) for arg in argv]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid argument: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_guard(tmp_path, capsys, monkeypatch):
     path = write_instance(tmp_path, instance_to_json(LB_BASE))
     monkeypatch.setenv("FLG_GUARD", "1")

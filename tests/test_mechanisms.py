@@ -12,15 +12,8 @@ from flgames.mechanisms import (
     TWO_EXTREMES,
     MechanismMismatch,
     MechanismSpec,
-    closest_to_mean,
     dictator_spec,
-    dictatorship,
-    leftmost_closest,
-    median,
     parse_mechanism,
-    random_dictatorship,
-    two_extremes,
-    wpv,
     wpv_spec,
 )
 
@@ -30,80 +23,80 @@ TIGHT = build_paper_instance(PaperConstruction("example-1", eps=F(1, 100), n=4))
 
 
 def test_leftmost_follows_leftmost_agent():
-    assert leftmost_closest(LB_BASE) == Deterministic((1,))
-    assert leftmost_closest(REMARK) == Deterministic((1,))
+    assert LEFTMOST.apply(LB_BASE) == Deterministic((1,))
+    assert LEFTMOST.apply(REMARK) == Deterministic((1,))
     right_heavy = line_instance((F(17, 10), 3), (0, 2), k=1)
-    assert leftmost_closest(right_heavy) == Deterministic((2,))
+    assert LEFTMOST.apply(right_heavy) == Deterministic((2,))
 
 
 def test_leftmost_tie_prefers_smaller_coordinate_then_index():
     centered = line_instance((1,), (0, 2), k=1)
-    assert leftmost_closest(centered) == Deterministic((1,))
+    assert LEFTMOST.apply(centered) == Deterministic((1,))
     duplicated = line_instance((1,), (2, 0, 0), k=1)
-    assert leftmost_closest(duplicated) == Deterministic((2,))
+    assert LEFTMOST.apply(duplicated) == Deterministic((2,))
 
 
 def test_dictatorship_line_and_tie():
     inst = line_instance((0, 5), (0, 5), k=1)
-    assert dictatorship(inst, 1) == Deterministic((1,))
-    assert dictatorship(inst, 2) == Deterministic((2,))
+    assert dictator_spec(1).apply(inst) == Deterministic((1,))
+    assert dictator_spec(2).apply(inst) == Deterministic((2,))
     tie = line_instance((1,), (0, 2), k=1)
-    assert dictatorship(tie, 1) == Deterministic((1,))
+    assert dictator_spec(1).apply(tie) == Deterministic((1,))
 
 
 def test_dictatorship_metric():
     inst = metric_instance(
         ((0, 5, 4), (5, 0, 3), (4, 3, 0)), agents=(1,), candidates=(2, 3), k=1
     )
-    assert dictatorship(inst, 1) == Deterministic((2,))
+    assert dictator_spec(1).apply(inst) == Deterministic((2,))
 
 
 def test_dictatorship_rejects_bad_index():
     with pytest.raises(MechanismMismatch):
-        dictatorship(LB_BASE, 0)
+        dictator_spec(0).apply(LB_BASE)
     with pytest.raises(MechanismMismatch):
-        dictatorship(LB_BASE, 3)
+        dictator_spec(3).apply(LB_BASE)
 
 
 def test_two_extremes_on_tight_instance():
-    assert two_extremes(TIGHT) == Deterministic((1, 3))
+    assert TWO_EXTREMES.apply(TIGHT) == Deterministic((1, 3))
 
 
 def test_two_extremes_tie_rules_point_inward():
     # everyone at the midpoint: the left facility breaks its tie to the
     # right candidate, the right facility to the left one
     inst = line_instance((1, 1, 1), (0, 2), k=2)
-    assert two_extremes(inst) == Deterministic((2, 1))
+    assert TWO_EXTREMES.apply(inst) == Deterministic((2, 1))
 
 
 def test_two_extremes_degenerate_shapes():
     solo = line_instance((F(7, 2),), (5,), k=2)
-    assert two_extremes(solo) == Deterministic((1, 1))
+    assert TWO_EXTREMES.apply(solo) == Deterministic((1, 1))
     spread = line_instance((0, 10), (1, 9), k=2)
-    assert two_extremes(spread) == Deterministic((1, 2))
+    assert TWO_EXTREMES.apply(spread) == Deterministic((1, 2))
 
 
 def test_median_odd_profile():
     inst = build_paper_instance(PaperConstruction("median-context"))
-    assert median(inst) == Deterministic((1,))
+    assert MEDIAN.apply(inst) == Deterministic((1,))
 
 
 def test_median_even_profile_uses_left_median():
     inst = line_instance((0, 1, 5, 6), (0, 6), k=1)
     # rank ceil(4/2) = 2, so the pivot is 1, not 5
-    assert median(inst) == Deterministic((1,))
+    assert MEDIAN.apply(inst) == Deterministic((1,))
     reordered = line_instance((6, 5, 1, 0), (0, 6), k=1)
-    assert median(reordered) == Deterministic((1,))
+    assert MEDIAN.apply(reordered) == Deterministic((1,))
 
 
 def test_median_tie_prefers_smaller_coordinate():
     inst = line_instance((0, 1, 2), (0, 2), k=1)
-    assert median(inst) == Deterministic((1,))
+    assert MEDIAN.apply(inst) == Deterministic((1,))
 
 
 def test_random_dictatorship_vote_shares():
     inst = line_instance((0, 0, 2), (0, 2), k=1)
-    outcome = random_dictatorship(inst)
+    outcome = RD.apply(inst)
     assert outcome == Randomized(
         ((Deterministic((1,)), F(2, 3)), (Deterministic((2,)), F(1, 3)))
     )
@@ -111,7 +104,7 @@ def test_random_dictatorship_vote_shares():
 
 def test_random_dictatorship_vote_tie_prefers_smaller_index():
     inst = line_instance((1, 1), (0, 2), k=1)
-    assert random_dictatorship(inst) == Randomized(((Deterministic((1,)), F(1)),))
+    assert RD.apply(inst) == Randomized(((Deterministic((1,)), F(1)),))
 
 
 def test_random_dictatorship_metric():
@@ -119,65 +112,54 @@ def test_random_dictatorship_metric():
         ((0, 5, 4), (5, 0, 3), (4, 3, 0)), agents=(1, 2), candidates=(2, 3), k=1
     )
     # agent 1 is nearer point 3, agent 2 sits on point 2
-    assert random_dictatorship(inst) == Randomized(
+    assert RD.apply(inst) == Randomized(
         ((Deterministic((1,)), F(1, 2)), (Deterministic((2,)), F(1, 2)))
     )
 
 
 def test_wpv_weights_follow_sorted_ranks():
-    outcome = wpv(REMARK, (F(1, 4), F(3, 4)))
+    outcome = wpv_spec((F(1, 4), F(3, 4))).apply(REMARK)
     assert outcome == Randomized(
         ((Deterministic((1,)), F(1, 4)), (Deterministic((3,)), F(3, 4)))
     )
     # degenerate weight on the leftmost rank reproduces leftmost-closest
-    assert wpv(REMARK, (1, 0)) == Randomized(((Deterministic((1,)), F(1)),))
+    assert wpv_spec((1, 0)).apply(REMARK) == Randomized(((Deterministic((1,)), F(1)),))
 
 
 def test_wpv_merges_identical_votes():
     inst = line_instance((1, 1), (0, 1), k=1)
-    assert wpv(inst, (F(1, 2), F(1, 2))) == Randomized(((Deterministic((2,)), F(1)),))
+    assert wpv_spec((F(1, 2), F(1, 2))).apply(inst) == Randomized(((Deterministic((2,)), F(1)),))
 
 
 def test_wpv_validates_weights():
     with pytest.raises(MechanismMismatch):
-        wpv(REMARK, (1,))
+        wpv_spec((1,)).apply(REMARK)
     with pytest.raises(MechanismMismatch):
-        wpv(REMARK, (F(1, 2), F(1, 4)))
+        wpv_spec((F(1, 2), F(1, 4))).apply(REMARK)
     with pytest.raises(MechanismMismatch):
-        wpv(REMARK, (F(3, 2), F(-1, 2)))
+        wpv_spec((F(3, 2), F(-1, 2))).apply(REMARK)
 
 
 def test_closest_to_mean():
-    assert closest_to_mean(LB_BASE) == Deterministic((1,))
+    assert MEAN.apply(LB_BASE) == Deterministic((1,))
     pulled = line_instance((F(9, 10), 3), (0, 2), k=1)
-    assert closest_to_mean(pulled) == Deterministic((2,))
+    assert MEAN.apply(pulled) == Deterministic((2,))
 
 
 def test_space_and_k_mismatches():
     metric = metric_instance(((0, 1), (1, 0)), agents=(1,), candidates=(2,), k=1)
-    for rule in (leftmost_closest, median, closest_to_mean):
+    for spec in (LEFTMOST, MEDIAN, MEAN):
         with pytest.raises(MechanismMismatch):
-            rule(metric)
+            spec.apply(metric)
     with pytest.raises(MechanismMismatch):
-        wpv(metric, (1,))
+        wpv_spec((1,)).apply(metric)
     two_facility = line_instance((0, 1), (0, 1), k=2)
     with pytest.raises(MechanismMismatch):
-        leftmost_closest(two_facility)
+        LEFTMOST.apply(two_facility)
     with pytest.raises(MechanismMismatch):
-        two_extremes(LB_BASE)
+        TWO_EXTREMES.apply(LB_BASE)
     with pytest.raises(MechanismMismatch):
-        random_dictatorship(two_facility)
-
-
-def test_spec_dispatch_matches_functions():
-    assert LEFTMOST.apply(LB_BASE) == leftmost_closest(LB_BASE)
-    assert TWO_EXTREMES.apply(TIGHT) == two_extremes(TIGHT)
-    assert MEDIAN.apply(LB_BASE) == median(LB_BASE)
-    assert RD.apply(LB_BASE) == random_dictatorship(LB_BASE)
-    assert MEAN.apply(LB_BASE) == closest_to_mean(LB_BASE)
-    assert dictator_spec(2).apply(LB_BASE) == dictatorship(LB_BASE, 2)
-    weights = (F(1, 2), F(1, 2))
-    assert wpv_spec(weights).apply(LB_BASE) == wpv(LB_BASE, weights)
+        RD.apply(two_facility)
 
 
 def test_parse_mechanism():

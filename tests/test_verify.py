@@ -1,12 +1,22 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flgames.core import Deterministic, Randomized, line_instance, metric_instance
+from flgames.core import (
+    Deterministic,
+    Randomized,
+    line_instance,
+    metric_instance,
+    outcome_agent_cost,
+)
 from flgames.instances import (
     PaperConstruction,
     RandomFamily,
     build_paper_instance,
+    random_instance,
     random_line_instance,
 )
 from flgames.mechanisms import (
@@ -20,6 +30,7 @@ from flgames.mechanisms import (
 )
 from flgames.solver import INFINITE_RATIO, GuardExceeded, ratio
 from flgames.verify import (
+    DeviationWitness,
     check_anonymity,
     find_group_deviation,
     find_unilateral_deviation,
@@ -47,7 +58,6 @@ def test_misreport_set_on_the_line():
     assert list(points) == sorted(set(points))
     assert ms.size == 45
     assert ms.grid_points == 41
-    assert ms.for_agent(1) == ms.for_agent(2) == points
 
 
 def test_misreport_set_grid_sizes():
@@ -85,13 +95,6 @@ def test_agent_already_served_is_skipped():
     assert find_unilateral_deviation(inst, MEAN) is None
 
 
-def test_group_search_of_size_one_matches_unilateral():
-    for mech, inst in ((MEAN, LB_BASE), (LEFTMOST, LB_BASE), (MEAN, PAIR_TRAP)):
-        unilateral = find_unilateral_deviation(inst, mech)
-        group = find_group_deviation(inst, mech, max_coalition=1)
-        assert unilateral == group
-
-
 def test_pair_trap_needs_a_coalition():
     assert find_unilateral_deviation(PAIR_TRAP, MEAN) is None
     witness = find_group_deviation(PAIR_TRAP, MEAN, max_coalition=2)
@@ -124,6 +127,97 @@ def test_group_search_guard_and_bounds():
         find_group_deviation(LB_BASE, MEAN, max_coalition=3)
     with pytest.raises(ValueError):
         find_group_deviation(LB_BASE, MEAN, max_coalition=0)
+
+
+# ---------------------------------------------------------------------------
+# differential: the one search loop against the two loops it replaced, kept
+# here as plain references on the validated instance path
+
+
+def reference_unilateral(instance, mechanism, misreports):
+    truthful = mechanism.apply(instance)
+    agents = instance.agents
+    for i in range(1, instance.n + 1):
+        base_cost = outcome_agent_cost(instance, truthful, i)
+        if base_cost == 0:
+            continue
+        true_location = agents[i - 1]
+        prefix, suffix = agents[: i - 1], agents[i:]
+        for report in misreports.points:
+            if report == true_location:
+                continue
+            shifted = mechanism.apply(instance.replace_agents(prefix + (report,) + suffix))
+            if shifted == truthful:
+                continue
+            new_cost = outcome_agent_cost(instance, shifted, i)
+            if new_cost < base_cost:
+                return DeviationWitness(
+                    (i,), (report,), truthful, shifted, (base_cost,), (new_cost,)
+                )
+    return None
+
+
+def reference_group(instance, mechanism, misreports, max_coalition):
+    options = [tuple(r for r in misreports.points if r != x) for x in instance.agents]
+    truthful = mechanism.apply(instance)
+    base_costs = [outcome_agent_cost(instance, truthful, i) for i in range(1, instance.n + 1)]
+    for size in range(1, max_coalition + 1):
+        for coalition in itertools.combinations(range(1, instance.n + 1), size):
+            members_base = tuple(base_costs[i - 1] for i in coalition)
+            if any(cost == 0 for cost in members_base):
+                continue
+            for joint in itertools.product(*(options[i - 1] for i in coalition)):
+                profile = list(instance.agents)
+                for i, report in zip(coalition, joint):
+                    profile[i - 1] = report
+                shifted = mechanism.apply(instance.replace_agents(profile))
+                if shifted == truthful:
+                    continue
+                new_costs = tuple(outcome_agent_cost(instance, shifted, i) for i in coalition)
+                if all(new < old for new, old in zip(new_costs, members_base)):
+                    return DeviationWitness(
+                        coalition, joint, truthful, shifted, members_base, new_costs
+                    )
+    return None
+
+
+# (rule, family kind, k) on A5's n=4 m=3 families
+FAMILY_CASES = (
+    (LEFTMOST, "line-uniform", 1),
+    (MEDIAN, "line-uniform", 1),
+    (TWO_EXTREMES, "line-uniform", 2),
+    (dictator_spec(1), "line-uniform", 1),
+    (RD, "line-uniform", 1),
+    (RD, "metric-closure", 1),
+)
+HALVES = st.integers(-8, 8).map(lambda v: F(v, 2))
+
+
+@st.composite
+def search_cases(draw):
+    """A rule and an instance it is defined on.  The strawman mean runs on
+    coarse line profiles, n=3-5, where it has witnesses at size 1 and,
+    when no single lie pays, at size 2."""
+    if draw(st.booleans()):
+        agents = draw(st.lists(HALVES, min_size=3, max_size=5))
+        return MEAN, line_instance(agents, draw(st.lists(HALVES, min_size=2, max_size=3)))
+    mechanism, kind, k = draw(st.sampled_from(FAMILY_CASES))
+    family = RandomFamily(kind, n=4, m=3, k=k, seed=draw(st.integers(0, 10**6)))
+    return mechanism, random_instance(family, draw(st.integers(0, 1000)))
+
+
+@given(case=search_cases(), max_coalition=st.integers(1, 3), grid_points=st.integers(0, 5))
+@example(case=(MEAN, PAIR_TRAP), max_coalition=2, grid_points=5)
+@settings(max_examples=150, deadline=None)
+def test_one_search_loop_matches_both_reference_loops(case, max_coalition, grid_points):
+    mechanism, instance = case
+    misreports = misreport_set(instance, grid_points)
+    assert find_unilateral_deviation(instance, mechanism, misreports) == reference_unilateral(
+        instance, mechanism, misreports
+    )
+    assert find_group_deviation(
+        instance, mechanism, misreports, max_coalition
+    ) == reference_group(instance, mechanism, misreports, max_coalition)
 
 
 def test_anonymity_of_anonymous_rules():
