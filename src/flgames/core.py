@@ -262,6 +262,16 @@ class Randomized:
         )
         object.__setattr__(self, "support", canon)
 
+    @classmethod
+    def _canonical(cls, support: tuple) -> "Randomized":
+        """A lottery from a support already in canonical form (sorted by
+        selection, merged, no zero entries, Fraction probabilities summing
+        to 1), taken as is.  For rules that build it that way; public
+        construction keeps every check."""
+        lottery = object.__new__(cls)
+        object.__setattr__(lottery, "support", support)
+        return lottery
+
 
 Outcome = Union[Deterministic, Randomized]
 

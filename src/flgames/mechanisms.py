@@ -83,8 +83,10 @@ def _closest_by_index(distances: list[int]) -> int:
     return distances.index(min(distances)) + 1
 
 
-def _distance_rows(instance: Instance, points: tuple) -> list[list[int]]:
-    """Per point, its scaled distance to each candidate, on either space."""
+def distance_rows(instance: Instance, points: tuple) -> list[list[int]]:
+    """Per point, its distance to each candidate as an int, on either
+    space.  All rows share one scale, so they compare and add exactly as
+    the rational distances do."""
     space = instance.space
     if isinstance(space, Line):
         xs, candidates = _scaled_line(points, instance.candidates)
@@ -106,7 +108,7 @@ def _dictator(instance: Instance, spec: MechanismSpec) -> Deterministic:
     if spec.dictator > instance.n:
         raise MechanismMismatch(f"dictator index {spec.dictator} out of range 1..{instance.n}")
     point = instance.agents[spec.dictator - 1]
-    return Deterministic((_closest_by_index(_distance_rows(instance, (point,))[0]),))
+    return Deterministic((_closest_by_index(distance_rows(instance, (point,))[0]),))
 
 
 def _two_extremes(instance: Instance, spec: MechanismSpec) -> Deterministic:
@@ -123,23 +125,32 @@ def _median(instance: Instance, spec: MechanismSpec) -> Deterministic:
     return Deterministic((_closest_on_line(candidates, pivot, "low"),))
 
 
+def _lottery(mass: dict[int, Fraction]) -> Randomized:
+    """The lottery over single candidates with these positive
+    probabilities, which sum to 1; sorting is all canonical form needs."""
+    return Randomized._canonical(tuple((Deterministic((j,)), p) for j, p in sorted(mass.items())))
+
+
 def _random_dictatorship(instance: Instance, spec: MechanismSpec) -> Randomized:
     votes: dict[int, int] = {}
-    for distances in _distance_rows(instance, instance.agents):
+    for distances in distance_rows(instance, instance.agents):
         j = _closest_by_index(distances)
         votes[j] = votes.get(j, 0) + 1
     n = instance.n
-    return Randomized(tuple((Deterministic((j,)), Fraction(count, n)) for j, count in votes.items()))
+    return _lottery({j: Fraction(count, n) for j, count in votes.items()})
 
 
 def _wpv(instance: Instance, spec: MechanismSpec) -> Randomized:
     if len(spec.weights) != instance.n:
         raise MechanismMismatch(f"need {instance.n} weights, got {len(spec.weights)}")
     agents, candidates = _scaled_line(instance.agents, instance.candidates)
-    pairs = []
+    mass: dict[int, Fraction] = {}
     for x, w in zip(sorted(agents), spec.weights):
-        pairs.append((Deterministic((_closest_on_line(candidates, x, "low"),)), w))
-    return Randomized(tuple(pairs))
+        # the spec's weights are nonnegative and sum to 1; zero ones drop out
+        if w:
+            j = _closest_on_line(candidates, x, "low")
+            mass[j] = mass.get(j, 0) + w
+    return _lottery(mass)
 
 
 def _mean(instance: Instance, spec: MechanismSpec) -> Deterministic:

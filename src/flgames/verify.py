@@ -14,6 +14,15 @@ Scan order is fixed so witnesses are reproducible: coalitions by size
 then lexicographic agent indices (so single agents ascending first),
 joint misreports in product order with the last member's report
 varying fastest, each member's reports ascending.
+
+The search costs every outcome on one integer table of the true agents'
+distances to the candidates.  For a deterministic rule it first cuts
+every coalition for which no k-multiset of candidates lowers every
+member's cost strictly.  This is exact: whatever the members report,
+the rule answers with some k-multiset, so such a coalition cannot hold
+a witness, and the scan order and witnesses are unchanged.  Lotteries
+(rd, wpv) are not cut, because a mix of selections can help every
+member in expectation when no single selection does.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    Deterministic,
     Instance,
     Line,
     Outcome,
@@ -43,6 +53,7 @@ from .instances import (
     build_paper_instance,
     random_instance,
 )
+from .mechanisms import distance_rows
 from .solver import DEFAULT_GUARD, GuardExceeded, Ratio, optimal, ratio_of
 
 DEFAULT_GRID_POINTS = 41
@@ -147,6 +158,14 @@ def joint_misreport_count(options: list[tuple], max_coalition: int) -> int:
     return total
 
 
+def _table_cost(row: list[int], outcome: Outcome):
+    """An agent's cost under an outcome, read off its row of the cost
+    table: the min over the selection, in expectation for a lottery."""
+    if isinstance(outcome, Deterministic):
+        return min(row[j - 1] for j in outcome.selection)
+    return sum(prob * min(row[j - 1] for j in det.selection) for det, prob in outcome.support)
+
+
 def find_group_deviation(
     instance: Instance,
     mechanism,
@@ -163,6 +182,20 @@ def find_group_deviation(
     idle member implies a smaller-coalition witness, which the
     size-ascending scan finds first.  Raises GuardExceeded if the total
     number of joint reports to try exceeds the guard.
+
+    Costs are read off one table of the true agents' distances to the
+    candidates, as ints over one common denominator; Fractions are built
+    only for a witness.  When the truthful outcome is deterministic, the
+    rule's every outcome is a k-multiset of candidates, so a coalition
+    can gain only through a selection whose nearest candidate is
+    strictly closer than the truthful outcome's for every member.  A
+    coalition with no such selection is skipped without calling the
+    rule, and for the rest, a shifted outcome is a witness exactly when
+    its selection is one of them.  Lotteries get no such cut, since a
+    lottery can lower every member's expected cost when no single
+    selection does; their member costs are compared as expectations over
+    the same table, and only a coalition with a member already at cost 0
+    is skipped.
     """
     n = instance.n
     if not 1 <= max_coalition <= n:
@@ -174,35 +207,51 @@ def find_group_deviation(
     if total > guard:
         raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
     truthful = mechanism.apply(instance)
-    base_costs = [outcome_agent_cost(instance, truthful, i) for i in range(1, n + 1)]
+    table = distance_rows(instance, instance.agents)
+    base_costs = [_table_cost(row, truthful) for row in table]
+    deterministic = isinstance(truthful, Deterministic)
+    if deterministic:
+        selections = list(
+            itertools.combinations_with_replacement(range(1, instance.m + 1), instance.k)
+        )
+        # per agent, the sorted selections that would strictly lower its cost
+        gains = [
+            {sel for sel in selections if min(row[j - 1] for j in sel) < cost}
+            for row, cost in zip(table, base_costs)
+        ]
     # every agent outside the coalition keeps its one truthful report, so
     # product() yields whole profiles, the last member's report fastest
     truthful_choices = [(x,) for x in instance.agents]
     for size in range(1, max_coalition + 1):
         for coalition in itertools.combinations(range(1, n + 1), size):
-            # an agent already at cost 0 can never strictly improve
-            if any(base_costs[i - 1] == 0 for i in coalition):
+            if deterministic:
+                winning = set.intersection(*(gains[i - 1] for i in coalition))
+                if not winning:
+                    continue
+            elif any(base_costs[i - 1] == 0 for i in coalition):
+                # a member already at cost 0 can never strictly improve
                 continue
             choices = truthful_choices[:]
             for i in coalition:
                 choices[i - 1] = options[i - 1]
             for profile in itertools.product(*choices):
                 shifted = mechanism.apply(_with_agents(instance, profile))
-                if shifted == truthful:
+                if deterministic:
+                    if tuple(sorted(shifted.selection)) not in winning:
+                        continue
+                elif shifted == truthful or any(
+                    not _table_cost(table[i - 1], shifted) < base_costs[i - 1]
+                    for i in coalition
+                ):
                     continue
-                # members in order, stopping at the first that does not gain
-                for i in coalition:
-                    if not outcome_agent_cost(instance, shifted, i) < base_costs[i - 1]:
-                        break
-                else:
-                    return DeviationWitness(
-                        coalition,
-                        tuple(profile[i - 1] for i in coalition),
-                        truthful,
-                        shifted,
-                        tuple(base_costs[i - 1] for i in coalition),
-                        tuple(outcome_agent_cost(instance, shifted, i) for i in coalition),
-                    )
+                return DeviationWitness(
+                    coalition,
+                    tuple(profile[i - 1] for i in coalition),
+                    truthful,
+                    shifted,
+                    tuple(outcome_agent_cost(instance, truthful, i) for i in coalition),
+                    tuple(outcome_agent_cost(instance, shifted, i) for i in coalition),
+                )
     return None
 
 

@@ -27,6 +27,7 @@ from flgames.mechanisms import (
     TWO_EXTREMES,
     MechanismMismatch,
     dictator_spec,
+    wpv_spec,
 )
 from flgames.solver import INFINITE_RATIO, GuardExceeded, ratio
 from flgames.verify import (
@@ -35,6 +36,8 @@ from flgames.verify import (
     find_group_deviation,
     find_unilateral_deviation,
     iter_sweep,
+    joint_misreport_count,
+    misreport_options,
     misreport_set,
     replay_lower_bound,
     sweep,
@@ -181,6 +184,35 @@ def reference_group(instance, mechanism, misreports, max_coalition):
     return None
 
 
+def nearest(instance, point):
+    """Candidate nearest a point, ties to the smaller coordinate, then index."""
+    return min(
+        range(1, instance.m + 1),
+        key=lambda j: (abs(instance.candidates[j - 1] - point), instance.candidates[j - 1], j),
+    )
+
+
+class MeanAndMedian:
+    """A manipulable two-facility rule on Fractions: the candidate nearest
+    the mean agent, then the one nearest the left median.  Its selection
+    comes out in either order, (3, 1) as well as (1, 3)."""
+
+    def apply(self, instance):
+        agents = sorted(instance.agents)
+        mean = sum(agents, F(0)) / instance.n
+        return Deterministic(
+            (nearest(instance, mean), nearest(instance, agents[(instance.n + 1) // 2 - 1]))
+        )
+
+
+MEAN_AND_MEDIAN = MeanAndMedian()
+
+
+def end_weights(n):
+    """wpv weights with zero entries: half on each extreme agent."""
+    return wpv_spec([F(1, 2)] + [F(0)] * (n - 2) + [F(1, 2)])
+
+
 # (rule, family kind, k) on A5's n=4 m=3 families
 FAMILY_CASES = (
     (LEFTMOST, "line-uniform", 1),
@@ -189,18 +221,42 @@ FAMILY_CASES = (
     (dictator_spec(1), "line-uniform", 1),
     (RD, "line-uniform", 1),
     (RD, "metric-closure", 1),
+    (wpv_spec([F(1, 4)] * 4), "line-uniform", 1),
+    (end_weights(4), "line-uniform", 1),
+    (MEAN_AND_MEDIAN, "line-uniform", 2),
 )
 HALVES = st.integers(-8, 8).map(lambda v: F(v, 2))
+
+
+@st.composite
+def tie_profiles(draw):
+    """A line profile full of ties, and a rule for it: co-located
+    candidates, and agents on candidates or on candidate midpoints."""
+    candidates = draw(st.lists(HALVES, min_size=1, max_size=3))
+    candidates += draw(st.lists(st.sampled_from(candidates), max_size=2))
+    candidates = draw(st.permutations(candidates))
+    midpoints = [(a + b) / 2 for a in candidates for b in candidates]
+    agents = draw(st.lists(st.sampled_from(midpoints), min_size=3, max_size=4))
+    rules = [LEFTMOST, MEDIAN, MEAN, dictator_spec(1), RD, end_weights(len(agents))]
+    mechanism = draw(st.sampled_from(rules + [TWO_EXTREMES, MEAN_AND_MEDIAN]))
+    return mechanism, line_instance(agents, candidates, k=1 if mechanism in rules else 2)
 
 
 @st.composite
 def search_cases(draw):
     """A rule and an instance it is defined on.  The strawman mean runs on
     coarse line profiles, n=3-5, where it has witnesses at size 1 and,
-    when no single lie pays, at size 2."""
-    if draw(st.booleans()):
+    when no single lie pays, at size 2; so does the two-facility mean
+    and median rule."""
+    branch = draw(st.integers(0, 2))
+    if branch == 0:
         agents = draw(st.lists(HALVES, min_size=3, max_size=5))
-        return MEAN, line_instance(agents, draw(st.lists(HALVES, min_size=2, max_size=3)))
+        candidates = draw(st.lists(HALVES, min_size=2, max_size=3))
+        if draw(st.booleans()):
+            return MEAN, line_instance(agents, candidates)
+        return MEAN_AND_MEDIAN, line_instance(agents, candidates, k=2)
+    if branch == 1:
+        return draw(tie_profiles())
     mechanism, kind, k = draw(st.sampled_from(FAMILY_CASES))
     family = RandomFamily(kind, n=4, m=3, k=k, seed=draw(st.integers(0, 10**6)))
     return mechanism, random_instance(family, draw(st.integers(0, 1000)))
@@ -208,7 +264,7 @@ def search_cases(draw):
 
 @given(case=search_cases(), max_coalition=st.integers(1, 3), grid_points=st.integers(0, 5))
 @example(case=(MEAN, PAIR_TRAP), max_coalition=2, grid_points=5)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_one_search_loop_matches_both_reference_loops(case, max_coalition, grid_points):
     mechanism, instance = case
     misreports = misreport_set(instance, grid_points)
@@ -218,6 +274,32 @@ def test_one_search_loop_matches_both_reference_loops(case, max_coalition, grid_
     assert find_group_deviation(
         instance, mechanism, misreports, max_coalition
     ) == reference_group(instance, mechanism, misreports, max_coalition)
+
+
+class CountingRule:
+    """A rule that counts its apply calls."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = 0
+
+    def apply(self, instance):
+        self.calls += 1
+        return self.rule.apply(instance)
+
+
+def test_search_skips_coalitions_no_selection_can_help_but_not_lotteries():
+    # one candidate: no selection lowers anyone's cost
+    inst = line_instance((0, 1, 3), (2,), k=1)
+    misreports = misreport_set(inst, grid_points=3)
+    for rule in (LEFTMOST, MEAN, dictator_spec(2)):
+        counting = CountingRule(rule)
+        assert find_group_deviation(inst, counting, misreports, max_coalition=3) is None
+        assert counting.calls == 1
+    lottery = CountingRule(RD)
+    assert find_group_deviation(inst, lottery, misreports, max_coalition=3) is None
+    joint = joint_misreport_count(misreport_options(inst, misreports), 3)
+    assert lottery.calls == 1 + joint
 
 
 def test_anonymity_of_anonymous_rules():
