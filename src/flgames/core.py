@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Scalar = Fraction
 
@@ -152,18 +152,32 @@ class Instance:
     identity, and anonymity checks, need it).  k is the number of
     facilities to open, at most two; opening both facilities on the same
     candidate is allowed.
+
+    On the line, `scaled` holds the agents and the candidates as ints
+    over one common denominator, computed once here so that every
+    mechanism applied to the instance decides on ints without rescaling.
+    Multiplying by one positive scale keeps every difference, sum and
+    order comparison, so a decision on the ints is the decision on the
+    Fractions.  On a finite metric it is None: the space's own `scaled`
+    matrix serves.  It takes no part in equality, hashing or repr.
     """
 
     space: Space
     agents: tuple
     candidates: tuple
     k: int
+    scaled: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if isinstance(self.space, Line):
             agents = tuple(parse_scalar(x) for x in self.agents)
             candidates = tuple(parse_scalar(y) for y in self.candidates)
+            _, ints = scale_to_integers(agents + candidates)
+            scaled = (tuple(ints[: len(agents)]), tuple(ints[len(agents) :]))
         else:
+            scaled = None
             agents = tuple(self.agents)
             candidates = tuple(self.candidates)
             p = self.space.size
@@ -172,6 +186,7 @@ class Instance:
                     raise ValueError(f"not a point of the {p}-point space: {x!r}")
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "scaled", scaled)
         if not agents:
             raise ValueError("an instance needs at least one agent")
         if not candidates:
@@ -199,6 +214,25 @@ class Instance:
 
     def replace_agents(self, agents: Sequence) -> "Instance":
         return Instance(self.space, tuple(agents), self.candidates, self.k)
+
+    @classmethod
+    def _trusted(cls, template: "Instance", agents: tuple, scaled) -> "Instance":
+        """The template with this agent profile, taken as is: a tuple of
+        points of its space, and `scaled` the profile's ints and the
+        candidates' ints over one common denominator (None on a finite
+        metric).  For callers that draw every report from a validated set
+        and scale the lot once; replace_agents keeps every check."""
+        inst = object.__new__(cls)
+        # one dict update sets the frozen fields, as object.__setattr__
+        # would one at a time
+        inst.__dict__.update(
+            space=template.space,
+            agents=agents,
+            candidates=template.candidates,
+            k=template.k,
+            scaled=scaled,
+        )
+        return inst
 
 
 def line_instance(agents, candidates, k: int = 1) -> Instance:

@@ -25,12 +25,14 @@ Tie-breaking is part of each rule's definition and is exact:
 Coordinate ties between candidates at the same location fall back to
 the smaller index; the selected location is unaffected.
 
-Every rule decides on Python ints.  On the line, one apply scales the
-agents and candidates to one common denominator; a finite metric keeps
-its distance matrix scaled the same way.  Scaling by a positive
-constant keeps every distance comparison, so each decision, tie rules
-included, is exactly the one the rational definition gives.  Outcomes
-and probabilities stay exact Fractions.
+Every rule decides on Python ints, and none of them rescales.  A line
+instance carries its agents and candidates as ints over one common
+denominator (Instance.scaled), computed once when it is validated, or
+once per search for every profile the deviation search tries; a finite
+metric keeps its distance matrix scaled the same way.  Multiplying by
+one positive constant keeps every difference, sum and order comparison,
+so each decision, tie rules included, is exactly the one the rational
+definition gives.  Outcomes and probabilities stay exact Fractions.
 
 One table, RULES, gives each kind its rule, the number of facilities it
 opens and whether it is defined on the line only.  MechanismSpec reads
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     Deterministic,
@@ -52,7 +54,6 @@ from .core import (
     Outcome,
     Randomized,
     parse_scalar,
-    scale_to_integers,
 )
 
 
@@ -60,14 +61,7 @@ class MechanismMismatch(ValueError):
     """Mechanism applied to an instance it is not defined for."""
 
 
-def _scaled_line(points: tuple, candidates: tuple) -> tuple[list[int], list[int]]:
-    """Points and candidate coordinates as ints over one common denominator."""
-    n = len(points)
-    _, ints = scale_to_integers(points + candidates)
-    return ints[:n], ints[n:]
-
-
-def _closest_on_line(candidates: list[int], point: int, tie: str) -> int:
+def _closest_on_line(candidates: tuple[int, ...], point: int, tie: str) -> int:
     """1-based index of the candidate closest to point.
 
     tie "low" prefers the smaller coordinate, "high" the larger; equal
@@ -83,16 +77,18 @@ def _closest_by_index(distances: list[int]) -> int:
     return distances.index(min(distances)) + 1
 
 
-def distance_rows(instance: Instance, points: tuple) -> list[list[int]]:
-    """Per point, its distance to each candidate as an int, on either
-    space.  All rows share one scale, so they compare and add exactly as
-    the rational distances do."""
-    space = instance.space
-    if isinstance(space, Line):
-        xs, candidates = _scaled_line(points, instance.candidates)
-        return [[abs(c - x) for c in candidates] for x in xs]
-    rows = space.scaled
-    return [[rows[x - 1][c - 1] for c in instance.candidates] for x in points]
+def distance_rows(instance: Instance, indices: Optional[Sequence[int]] = None) -> list[list[int]]:
+    """Per agent (1-based indices, all by default), its distance to each
+    candidate as an int, on either space.  All rows share one scale, so
+    they compare and add exactly as the rational distances do."""
+    if indices is None:
+        indices = range(1, instance.n + 1)
+    if instance.scaled is not None:
+        agents, candidates = instance.scaled
+        return [[abs(c - agents[i - 1]) for c in candidates] for i in indices]
+    rows = instance.space.scaled
+    agents = instance.agents
+    return [[rows[agents[i - 1] - 1][c - 1] for c in instance.candidates] for i in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -100,26 +96,25 @@ def distance_rows(instance: Instance, points: tuple) -> list[list[int]]:
 
 
 def _leftmost(instance: Instance, spec: MechanismSpec) -> Deterministic:
-    agents, candidates = _scaled_line(instance.agents, instance.candidates)
+    agents, candidates = instance.scaled
     return Deterministic((_closest_on_line(candidates, min(agents), "low"),))
 
 
 def _dictator(instance: Instance, spec: MechanismSpec) -> Deterministic:
     if spec.dictator > instance.n:
         raise MechanismMismatch(f"dictator index {spec.dictator} out of range 1..{instance.n}")
-    point = instance.agents[spec.dictator - 1]
-    return Deterministic((_closest_by_index(distance_rows(instance, (point,))[0]),))
+    return Deterministic((_closest_by_index(distance_rows(instance, (spec.dictator,))[0]),))
 
 
 def _two_extremes(instance: Instance, spec: MechanismSpec) -> Deterministic:
-    agents, candidates = _scaled_line(instance.agents, instance.candidates)
+    agents, candidates = instance.scaled
     left = _closest_on_line(candidates, min(agents), "high")
     right = _closest_on_line(candidates, max(agents), "low")
     return Deterministic((left, right))
 
 
 def _median(instance: Instance, spec: MechanismSpec) -> Deterministic:
-    agents, candidates = _scaled_line(instance.agents, instance.candidates)
+    agents, candidates = instance.scaled
     # left median: rank ceil(n/2), so (1, 5, 9, 10) has median 5
     pivot = sorted(agents)[(len(agents) + 1) // 2 - 1]
     return Deterministic((_closest_on_line(candidates, pivot, "low"),))
@@ -133,7 +128,7 @@ def _lottery(mass: dict[int, Fraction]) -> Randomized:
 
 def _random_dictatorship(instance: Instance, spec: MechanismSpec) -> Randomized:
     votes: dict[int, int] = {}
-    for distances in distance_rows(instance, instance.agents):
+    for distances in distance_rows(instance):
         j = _closest_by_index(distances)
         votes[j] = votes.get(j, 0) + 1
     n = instance.n
@@ -143,7 +138,7 @@ def _random_dictatorship(instance: Instance, spec: MechanismSpec) -> Randomized:
 def _wpv(instance: Instance, spec: MechanismSpec) -> Randomized:
     if len(spec.weights) != instance.n:
         raise MechanismMismatch(f"need {instance.n} weights, got {len(spec.weights)}")
-    agents, candidates = _scaled_line(instance.agents, instance.candidates)
+    agents, candidates = instance.scaled
     mass: dict[int, Fraction] = {}
     for x, w in zip(sorted(agents), spec.weights):
         # the spec's weights are nonnegative and sum to 1; zero ones drop out
@@ -154,7 +149,7 @@ def _wpv(instance: Instance, spec: MechanismSpec) -> Randomized:
 
 
 def _mean(instance: Instance, spec: MechanismSpec) -> Deterministic:
-    agents, candidates = _scaled_line(instance.agents, instance.candidates)
+    agents, candidates = instance.scaled
     # |c - S/n| ranks candidates as |c*n - S| does
     n = len(agents)
     return Deterministic((_closest_on_line([c * n for c in candidates], sum(agents), "low"),))

@@ -23,6 +23,14 @@ the rule answers with some k-multiset, so such a coalition cannot hold
 a witness, and the scan order and witnesses are unchanged.  Lotteries
 (rd, wpv) are not cut, because a mix of selections can help every
 member in expectation when no single selection does.
+
+On the line the search scales once: the agents, the candidates and the
+misreport set go to ints over one common denominator, and every profile
+it tries reaches the rule as a Fraction instance that carries the same
+profile as those ints (Instance.scaled).  The rule's decisions are then
+made without rescaling, and they are the decisions on the Fractions,
+because multiplying every location by one positive scale keeps every
+difference, sum and order comparison.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .core import (
     outcome_agent_cost,
     outcome_cost,
     permute_agents,
+    scale_to_integers,
     validate_objective,
 )
 from .instances import (
@@ -57,17 +66,6 @@ from .mechanisms import distance_rows
 from .solver import DEFAULT_GUARD, GuardExceeded, Ratio, optimal, ratio_of
 
 DEFAULT_GRID_POINTS = 41
-
-
-def _with_agents(template: Instance, agents: tuple) -> Instance:
-    # Hot path: every report comes from a validated misreport set, so
-    # skip Instance.__post_init__ revalidation.
-    inst = object.__new__(Instance)
-    object.__setattr__(inst, "space", template.space)
-    object.__setattr__(inst, "agents", agents)
-    object.__setattr__(inst, "candidates", template.candidates)
-    object.__setattr__(inst, "k", template.k)
-    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +96,23 @@ def misreport_set(instance: Instance, grid_points: int = DEFAULT_GRID_POINTS) ->
         raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
     if not isinstance(instance.space, Line):
         return MisreportSet(tuple(range(1, instance.space.size + 1)), grid_points)
+    # On ints over the locations' common denominator times grid_points - 1
+    # every grid step divides exactly, and a span of 1 is `scale`; only a
+    # grid point that is no location becomes a new Fraction.
     locations = instance.agents + instance.candidates
-    lo, hi = min(locations), max(locations)
-    span = max(hi - lo, Fraction(1))
-    points = set(locations)
-    if grid_points == 1:
-        points.add(lo - span)
-    elif grid_points > 1:
-        start = lo - span
-        step = (hi + span - start) / (grid_points - 1)
-        points.update(start + t * step for t in range(grid_points))
-    return MisreportSet(tuple(sorted(points)), grid_points)
+    factor = max(grid_points - 1, 1)
+    scale, ints = scale_to_integers(locations)
+    scale *= factor
+    points = {v * factor: x for v, x in zip(ints, locations)}
+    lo, hi = min(points), max(points)
+    span = max(hi - lo, scale)
+    start = lo - span
+    step = (hi + span - start) // factor
+    for t in range(grid_points):
+        v = start + t * step
+        if v not in points:
+            points[v] = Fraction(v, scale)
+    return MisreportSet(tuple(points[v] for v in sorted(points)), grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +132,28 @@ class DeviationWitness:
     costs_after: tuple[Fraction, ...]
 
 
+def _own_indices(agents, points: tuple) -> list[Optional[int]]:
+    """Per agent, the index of its true location among the points, or
+    None; points are distinct, so cutting at it spares comparing the
+    location with every later point."""
+    indices = []
+    for x in agents:
+        try:
+            indices.append(points.index(x))
+        except ValueError:
+            indices.append(None)
+    return indices
+
+
+def _cut(points: tuple, j: Optional[int]) -> tuple:
+    return points if j is None else points[:j] + points[j + 1 :]
+
+
 def misreport_options(instance: Instance, misreports: MisreportSet) -> list[tuple]:
     """Per-agent reports actually tried: the set minus the agent's own
     true location."""
     points = misreports.points
-    options = []
-    for x in instance.agents:
-        # points are distinct, so cutting x out at its index spares
-        # comparing it with every later point
-        try:
-            j = points.index(x)
-        except ValueError:
-            options.append(points)
-        else:
-            options.append(points[:j] + points[j + 1 :])
-    return options
+    return [_cut(points, j) for j in _own_indices(instance.agents, points)]
 
 
 def joint_misreport_count(options: list[tuple], max_coalition: int) -> int:
@@ -156,6 +167,15 @@ def joint_misreport_count(options: list[tuple], max_coalition: int) -> int:
                 combos *= len(reports)
             total += combos
     return total
+
+
+def _choices(truthful: list[tuple], options: list[tuple], coalition: tuple) -> list[tuple]:
+    """Per agent, the reports product() walks: a member's options, and
+    every other agent's one truthful report."""
+    choices = truthful[:]
+    for i in coalition:
+        choices[i - 1] = options[i - 1]
+    return choices
 
 
 def _table_cost(row: list[int], outcome: Outcome):
@@ -202,12 +222,27 @@ def find_group_deviation(
         raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
     if misreports is None:
         misreports = misreport_set(instance, grid_points)
-    options = misreport_options(instance, misreports)
+    points = misreports.points
+    line = isinstance(instance.space, Line)
+    if line:
+        # one scale for every profile the search tries: the agents, the
+        # candidates and the misreports, each as an int over it
+        m = instance.m
+        _, ints = scale_to_integers(instance.agents + instance.candidates + points)
+        agent_ints, candidate_ints = ints[:n], tuple(ints[n : n + m])
+        point_ints = tuple(ints[n + m :])
+        # scaling is one-to-one, so the ints locate each agent's cut
+        cuts = _own_indices(agent_ints, point_ints)
+        int_options = [_cut(point_ints, j) for j in cuts]
+        int_truthful = [(x,) for x in agent_ints]
+    else:
+        cuts = _own_indices(instance.agents, points)
+    options = [_cut(points, j) for j in cuts]
     total = joint_misreport_count(options, max_coalition)
     if total > guard:
         raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
     truthful = mechanism.apply(instance)
-    table = distance_rows(instance, instance.agents)
+    table = distance_rows(instance)
     base_costs = [_table_cost(row, truthful) for row in table]
     deterministic = isinstance(truthful, Deterministic)
     if deterministic:
@@ -231,11 +266,16 @@ def find_group_deviation(
             elif any(base_costs[i - 1] == 0 for i in coalition):
                 # a member already at cost 0 can never strictly improve
                 continue
-            choices = truthful_choices[:]
-            for i in coalition:
-                choices[i - 1] = options[i - 1]
-            for profile in itertools.product(*choices):
-                shifted = mechanism.apply(_with_agents(instance, profile))
+            profiles = itertools.product(*_choices(truthful_choices, options, coalition))
+            if line:
+                # the same choices as ints, index for index, walked in
+                # lockstep, so each profile arrives with its own ints
+                int_profiles = itertools.product(*_choices(int_truthful, int_options, coalition))
+                scaled = zip(int_profiles, itertools.repeat(candidate_ints))
+            else:
+                scaled = itertools.repeat(None)
+            for profile, profile_scaled in zip(profiles, scaled):
+                shifted = mechanism.apply(Instance._trusted(instance, profile, profile_scaled))
                 if deterministic:
                     if tuple(sorted(shifted.selection)) not in winning:
                         continue

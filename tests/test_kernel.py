@@ -3,6 +3,7 @@ the plain Fraction definition of that rule on random and tie-heavy
 instances."""
 
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from flgames.core import (
     distance,
     line_instance,
     metric_instance,
+    permute_agents,
     scale_to_integers,
 )
 from flgames.instances import (
@@ -196,3 +198,50 @@ def test_scaled_metric_is_invisible_to_equality_hash_and_repr():
     assert a.scaled == ((0, 1), (1, 0))
     assert a == b and hash(a) == hash(b)
     assert repr(a) == f"FiniteMetric(matrix={a.matrix!r})"
+
+
+def assert_scaled_maps_back(instance):
+    """Instance.scaled is the agents and candidates as ints over one
+    common scale, the least one."""
+    agents, candidates = instance.scaled
+    scale = 1
+    for v in instance.agents + instance.candidates:
+        scale = scale * v.denominator // gcd(scale, v.denominator)
+    assert all(type(v) is int for v in agents + candidates)
+    assert tuple(F(v, scale) for v in agents) == instance.agents
+    assert tuple(F(v, scale) for v in candidates) == instance.candidates
+
+
+exact = st.fractions(max_denominator=10**6).filter(lambda v: abs(v) <= 10**6)
+
+
+@given(
+    agents=st.lists(exact, min_size=1, max_size=5),
+    candidates=st.lists(exact, min_size=1, max_size=4),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_instance_scaled_maps_back_and_follows_every_new_profile(agents, candidates, data):
+    inst = line_instance(agents, candidates)
+    assert_scaled_maps_back(inst)
+    moved = inst.replace_agents(data.draw(st.lists(exact, min_size=1, max_size=5)))
+    assert_scaled_maps_back(moved)
+    permuted = permute_agents(inst, data.draw(st.permutations(range(1, inst.n + 1))))
+    assert_scaled_maps_back(permuted)
+    assert permuted.scaled[0] == tuple(
+        inst.scaled[0][inst.agents.index(x)] for x in permuted.agents
+    )
+
+
+def test_instance_scaled_is_invisible_to_equality_hash_and_repr():
+    a = line_instance((F(1, 2), 3), (0,))
+    b = line_instance((F(1, 2), 3), (0,))
+    assert a.scaled == ((1, 6), (0,))
+    # the same profile over another scale, as a search scales it
+    object.__setattr__(b, "scaled", ((3, 18), (0,)))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == (
+        "Instance(space=Line(), agents=(Fraction(1, 2), Fraction(3, 1)), "
+        "candidates=(Fraction(0, 1),), k=1)"
+    )
+    assert metric_instance(((0, 1), (1, 0)), (1, 2), (2,)).scaled is None

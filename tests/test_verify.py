@@ -70,6 +70,46 @@ def test_misreport_set_grid_sizes():
         misreport_set(LB_BASE, grid_points=-1)
 
 
+def reference_misreport_points(instance, grid_points):
+    """The line's misreport set built directly on Fractions."""
+    locations = instance.agents + instance.candidates
+    lo, hi = min(locations), max(locations)
+    span = max(hi - lo, F(1))
+    points = set(locations)
+    if grid_points == 1:
+        points.add(lo - span)
+    elif grid_points > 1:
+        start = lo - span
+        step = (hi + span - start) / (grid_points - 1)
+        points.update(start + t * step for t in range(grid_points))
+    return tuple(sorted(points))
+
+
+FINE = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def grid_instances(draw):
+    """Line instances with fine and negative coordinates, and some with
+    every location coincident, where the span's floor of 1 applies."""
+    if draw(st.booleans()):
+        spot = draw(FINE)
+        return line_instance([spot] * draw(st.integers(1, 3)), [spot] * draw(st.integers(1, 2)))
+    locations = st.one_of(FINE, HALVES)
+    agents = draw(st.lists(locations, min_size=1, max_size=4))
+    return line_instance(agents, draw(st.lists(locations, min_size=1, max_size=3)))
+
+
+@given(instance=grid_instances(), grid_points=st.sampled_from((0, 1, 2, 3, 41)))
+@example(instance=line_instance((F(-7, 3),), (F(-7, 3),)), grid_points=41)
+@example(instance=line_instance((F(1, 10**6), F(-3, 999_999)), (0,)), grid_points=41)
+@settings(max_examples=200, deadline=None)
+def test_integer_grid_matches_the_fraction_grid(instance, grid_points):
+    points = misreport_set(instance, grid_points).points
+    assert points == reference_misreport_points(instance, grid_points)
+    assert all(type(p) is F for p in points)
+
+
 def test_misreport_set_metric_is_every_point():
     inst = metric_instance(((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1,), (2, 3), k=1)
     assert misreport_set(inst).points == (1, 2, 3)
@@ -208,6 +248,29 @@ class MeanAndMedian:
 MEAN_AND_MEDIAN = MeanAndMedian()
 
 
+class Lockstep:
+    """A rule that, before delegating, checks that the instance it is
+    handed carries ints in step with its Fractions: the agents and the
+    candidates over one positive scale.  A profile out of step with its
+    ints would make the rule decide for other reports than the witness
+    names."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = 0
+
+    def apply(self, instance):
+        self.calls += 1
+        values = instance.agents + instance.candidates
+        ints = instance.scaled[0] + instance.scaled[1]
+        assert len(ints) == len(values) and all(type(v) is int for v in ints)
+        ref = next(((x, v) for x, v in zip(values, ints) if x), (F(1), 1))
+        scale = F(ref[1]) / ref[0]
+        assert scale > 0
+        assert all(x * scale == v for x, v in zip(values, ints))
+        return self.rule.apply(instance)
+
+
 def end_weights(n):
     """wpv weights with zero entries: half on each extreme agent."""
     return wpv_spec([F(1, 2)] + [F(0)] * (n - 2) + [F(1, 2)])
@@ -224,6 +287,8 @@ FAMILY_CASES = (
     (wpv_spec([F(1, 4)] * 4), "line-uniform", 1),
     (end_weights(4), "line-uniform", 1),
     (MEAN_AND_MEDIAN, "line-uniform", 2),
+    (Lockstep(MEAN), "line-uniform", 1),
+    (Lockstep(RD), "line-uniform", 1),
 )
 HALVES = st.integers(-8, 8).map(lambda v: F(v, 2))
 
@@ -300,6 +365,23 @@ def test_search_skips_coalitions_no_selection_can_help_but_not_lotteries():
     assert find_group_deviation(inst, lottery, misreports, max_coalition=3) is None
     joint = joint_misreport_count(misreport_options(inst, misreports), 3)
     assert lottery.calls == 1 + joint
+
+
+def test_every_profile_arrives_with_its_own_ints():
+    family = random_instance(RandomFamily("line-uniform", n=4, m=3, k=1, seed=7), 3)
+    for rule, inst, calls in (
+        # rd is never cut, so the rule sees every joint report
+        (RD, family, 3439),
+        (LEFTMOST, family, 100),
+        # the pair trap's witness comes at size 2
+        (MEAN, PAIR_TRAP, 64),
+        (MEAN_AND_MEDIAN, line_instance((F(-1, 3), F(1, 7), 2, F(5, 2)), (0, F(1, 2), 3), k=2), 10),
+    ):
+        misreports = misreport_set(inst, grid_points=3)
+        lockstep = Lockstep(rule)
+        witness = find_group_deviation(inst, lockstep, misreports, max_coalition=3)
+        assert witness == reference_group(inst, rule, misreports, 3)
+        assert lockstep.calls == calls
 
 
 def test_anonymity_of_anonymous_rules():
