@@ -10,18 +10,13 @@ from .core import (
     Outcome,
     Randomized,
     Scalar,
-    agent_cost,
     distance,
-    expected_agent_cost,
-    expected_cost,
     line_instance,
-    max_cost,
     metric_instance,
     outcome_agent_cost,
     outcome_cost,
     parse_scalar,
     point_mass,
-    social_cost,
 )
 from .instances import (
     CONSTRUCTION_NAMES,

@@ -6,7 +6,8 @@ carry each value twice: the exact rational, and a readable decimal
 approximation (12 places, truncated) in a sibling *_decimal field.
 
 Exit codes: 0 success, 2 parse or usage failure (including an argument
-out of range), 3 enumeration guard exceeded, 4 mechanism/space mismatch.
+out of range and an output file that cannot be written), 3 enumeration
+guard exceeded, 4 mechanism/space mismatch.
 The environment variable FLG_GUARD, a positive integer, overrides the
 default enumeration guard of 10^7.
 """
@@ -247,7 +248,7 @@ def cmd_run(args, guard: int) -> int:
 def cmd_verify(args, guard: int) -> int:
     instance = load_instance(args.instance)
     mechanism = parse_mechanism(args.mechanism)
-    reports = misreport_set(instance, args.grid)
+    reports = misreport_set(instance, args.grid, guard)
     witness = find_group_deviation(
         instance, mechanism, misreports=reports, max_coalition=args.group_max, guard=guard
     )
@@ -316,8 +317,12 @@ def cmd_sweep(args, guard: int) -> int:
     lines.append(footer)
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     return EXIT_OK

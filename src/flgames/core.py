@@ -12,6 +12,12 @@ Conventions:
   * a point on the line is a Fraction; a point of a finite metric space
     is an index into its distance matrix
   * objectives are "sc" (social cost, the sum) and "mc" (maximum cost)
+
+Every cost is read off one table, distance_rows: each agent's distance
+to each candidate as an int over the instance's one positive scale.
+outcome_cost, outcome_agent_cost and the solver's optimum return
+Fraction(int, scale), the exact value; distance() is the plain rational
+definition.
 """
 
 from __future__ import annotations
@@ -86,9 +92,10 @@ class FiniteMetric:
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
-    # the same matrix as ints over one common denominator; mechanisms
-    # compare distances on it
+    # the same matrix as ints over one common denominator, `scale`;
+    # mechanisms and costs read it
     scaled: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(parse_scalar(entry) for entry in row) for row in self.matrix)
@@ -99,9 +106,10 @@ class FiniteMetric:
         if any(len(row) != p for row in rows):
             raise ValueError("distance matrix is not square")
         # The O(p^3) triangle scan runs on integers, not Fractions.
-        _, flat = scale_to_integers(entry for row in rows for entry in row)
+        scale, flat = scale_to_integers(entry for row in rows for entry in row)
         ints = tuple(tuple(flat[i * p : (i + 1) * p]) for i in range(p))
         object.__setattr__(self, "scaled", ints)
+        object.__setattr__(self, "scale", scale)
         for i in range(p):
             if ints[i][i] != 0:
                 raise ValueError(f"nonzero self-distance at point {i + 1}")
@@ -154,19 +162,20 @@ class Instance:
     candidate is allowed.
 
     On the line, `scaled` holds the agents and the candidates as ints
-    over one common denominator, computed once here so that every
-    mechanism applied to the instance decides on ints without rescaling.
-    Multiplying by one positive scale keeps every difference, sum and
-    order comparison, so a decision on the ints is the decision on the
-    Fractions.  On a finite metric it is None: the space's own `scaled`
-    matrix serves.  It takes no part in equality, hashing or repr.
+    over one common denominator, and that denominator: (agent ints,
+    candidate ints, scale), computed once here so that every mechanism
+    and every cost reads ints without rescaling.  Multiplying by one
+    positive scale keeps every difference, sum and order comparison, so
+    a decision on the ints is the decision on the Fractions.  On a finite
+    metric it is None: the space's `scaled` matrix and `scale` serve.  It
+    takes no part in equality, hashing or repr.
     """
 
     space: Space
     agents: tuple
     candidates: tuple
     k: int
-    scaled: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(
+    scaled: Optional[tuple[tuple[int, ...], tuple[int, ...], int]] = field(
         init=False, compare=False, repr=False
     )
 
@@ -174,8 +183,8 @@ class Instance:
         if isinstance(self.space, Line):
             agents = tuple(parse_scalar(x) for x in self.agents)
             candidates = tuple(parse_scalar(y) for y in self.candidates)
-            _, ints = scale_to_integers(agents + candidates)
-            scaled = (tuple(ints[: len(agents)]), tuple(ints[len(agents) :]))
+            scale, ints = scale_to_integers(agents + candidates)
+            scaled = (tuple(ints[: len(agents)]), tuple(ints[len(agents) :]), scale)
         else:
             scaled = None
             agents = tuple(self.agents)
@@ -218,8 +227,8 @@ class Instance:
     @classmethod
     def _trusted(cls, template: "Instance", agents: tuple, scaled) -> "Instance":
         """The template with this agent profile, taken as is: a tuple of
-        points of its space, and `scaled` the profile's ints and the
-        candidates' ints over one common denominator (None on a finite
+        points of its space, and `scaled` the profile's ints, the
+        candidates' ints and the one scale they share (None on a finite
         metric).  For callers that draw every report from a validated set
         and scale the lot once; replace_agents keeps every check."""
         inst = object.__new__(cls)
@@ -318,49 +327,58 @@ def point_mass(outcome: Deterministic) -> Randomized:
 # costs
 
 
-def agent_cost(instance: Instance, outcome: Deterministic, i: int) -> Fraction:
-    """Distance from agent i to the nearest selected facility."""
-    x = instance.agent(i)
-    space = instance.space
-    return min(distance(space, x, instance.candidate(j)) for j in outcome.selection)
+def distance_rows(instance: Instance, indices: Optional[Sequence[int]] = None) -> list[list[int]]:
+    """Per agent (1-based indices, all by default), its distance to each
+    candidate as an int over cost_scale(instance), on either space.  All
+    rows share that one scale, so they compare and add exactly as the
+    rational distances do; this table is the one definition of cost."""
+    if indices is None:
+        indices = range(1, instance.n + 1)
+    if instance.scaled is not None:
+        agents, candidates, _ = instance.scaled
+        return [[abs(c - agents[i - 1]) for c in candidates] for i in indices]
+    rows = instance.space.scaled
+    agents = instance.agents
+    return [[rows[agents[i - 1] - 1][c - 1] for c in instance.candidates] for i in indices]
 
 
-def social_cost(instance: Instance, outcome: Deterministic) -> Fraction:
-    return sum(agent_cost(instance, outcome, i) for i in range(1, instance.n + 1))
+def cost_scale(instance: Instance) -> int:
+    """The positive scale of distance_rows' ints: a table entry v is the
+    distance v / cost_scale(instance)."""
+    return instance.space.scale if instance.scaled is None else instance.scaled[2]
 
 
-def max_cost(instance: Instance, outcome: Deterministic) -> Fraction:
-    return max(agent_cost(instance, outcome, i) for i in range(1, instance.n + 1))
+def row_cost(row: list[int], outcome: Outcome):
+    """An agent's cost under an outcome, read off its row of the table:
+    the min over the selection, in expectation for a lottery."""
+    support = outcome.support if isinstance(outcome, Randomized) else ((outcome, 1),)
+    return sum(prob * min(row[j - 1] for j in det.selection) for det, prob in support)
 
 
-def objective_cost(instance: Instance, outcome: Deterministic, objective: str) -> Fraction:
-    validate_objective(objective)
-    return social_cost(instance, outcome) if objective == "sc" else max_cost(instance, outcome)
-
-
-def expected_cost(instance: Instance, outcome: Randomized, objective: str) -> Fraction:
-    """Expected objective value of a randomized outcome."""
-    validate_objective(objective)
-    return sum(
-        prob * objective_cost(instance, det, objective) for det, prob in outcome.support
-    )
-
-
-def expected_agent_cost(instance: Instance, outcome: Randomized, i: int) -> Fraction:
-    return sum(prob * agent_cost(instance, det, i) for det, prob in outcome.support)
+def selection_cost(columns, selection: tuple[int, ...], objective: str) -> int:
+    """The sc or mc of one selection, where columns[j - 1] holds every
+    agent's table distance to candidate j."""
+    if len(selection) == 1:
+        costs = columns[selection[0] - 1]
+    else:
+        costs = map(min, *(columns[j - 1] for j in selection))
+    return sum(costs) if objective == "sc" else max(costs)
 
 
 def outcome_cost(instance: Instance, outcome: Outcome, objective: str) -> Fraction:
     """Objective value of an outcome, in expectation if randomized."""
-    if isinstance(outcome, Deterministic):
-        return objective_cost(instance, outcome, objective)
-    return expected_cost(instance, outcome, objective)
+    validate_objective(objective)
+    columns = tuple(zip(*distance_rows(instance)))
+    support = outcome.support if isinstance(outcome, Randomized) else ((outcome, 1),)
+    value = sum(prob * selection_cost(columns, det.selection, objective) for det, prob in support)
+    return Fraction(value, cost_scale(instance))
 
 
 def outcome_agent_cost(instance: Instance, outcome: Outcome, i: int) -> Fraction:
-    if isinstance(outcome, Deterministic):
-        return agent_cost(instance, outcome, i)
-    return expected_agent_cost(instance, outcome, i)
+    """Agent i's distance to its nearest selected facility, in
+    expectation if randomized."""
+    instance.agent(i)  # IndexError outside 1..n, where a row read would wrap
+    return Fraction(row_cost(distance_rows(instance, (i,))[0], outcome), cost_scale(instance))
 
 
 def permute_agents(instance: Instance, permutation: Sequence[int]) -> Instance:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     Deterministic,
@@ -53,6 +53,7 @@ from .core import (
     Line,
     Outcome,
     Randomized,
+    distance_rows,
     parse_scalar,
 )
 
@@ -77,26 +78,12 @@ def _closest_by_index(distances: list[int]) -> int:
     return distances.index(min(distances)) + 1
 
 
-def distance_rows(instance: Instance, indices: Optional[Sequence[int]] = None) -> list[list[int]]:
-    """Per agent (1-based indices, all by default), its distance to each
-    candidate as an int, on either space.  All rows share one scale, so
-    they compare and add exactly as the rational distances do."""
-    if indices is None:
-        indices = range(1, instance.n + 1)
-    if instance.scaled is not None:
-        agents, candidates = instance.scaled
-        return [[abs(c - agents[i - 1]) for c in candidates] for i in indices]
-    rows = instance.space.scaled
-    agents = instance.agents
-    return [[rows[agents[i - 1] - 1][c - 1] for c in instance.candidates] for i in indices]
-
-
 # ---------------------------------------------------------------------------
 # the rules; each takes (instance, spec) once apply has checked its shape
 
 
 def _leftmost(instance: Instance, spec: MechanismSpec) -> Deterministic:
-    agents, candidates = instance.scaled
+    agents, candidates, _ = instance.scaled
     return Deterministic((_closest_on_line(candidates, min(agents), "low"),))
 
 
@@ -107,14 +94,14 @@ def _dictator(instance: Instance, spec: MechanismSpec) -> Deterministic:
 
 
 def _two_extremes(instance: Instance, spec: MechanismSpec) -> Deterministic:
-    agents, candidates = instance.scaled
+    agents, candidates, _ = instance.scaled
     left = _closest_on_line(candidates, min(agents), "high")
     right = _closest_on_line(candidates, max(agents), "low")
     return Deterministic((left, right))
 
 
 def _median(instance: Instance, spec: MechanismSpec) -> Deterministic:
-    agents, candidates = instance.scaled
+    agents, candidates, _ = instance.scaled
     # left median: rank ceil(n/2), so (1, 5, 9, 10) has median 5
     pivot = sorted(agents)[(len(agents) + 1) // 2 - 1]
     return Deterministic((_closest_on_line(candidates, pivot, "low"),))
@@ -138,7 +125,7 @@ def _random_dictatorship(instance: Instance, spec: MechanismSpec) -> Randomized:
 def _wpv(instance: Instance, spec: MechanismSpec) -> Randomized:
     if len(spec.weights) != instance.n:
         raise MechanismMismatch(f"need {instance.n} weights, got {len(spec.weights)}")
-    agents, candidates = instance.scaled
+    agents, candidates, _ = instance.scaled
     mass: dict[int, Fraction] = {}
     for x, w in zip(sorted(agents), spec.weights):
         # the spec's weights are nonnegative and sum to 1; zero ones drop out
@@ -149,7 +136,7 @@ def _wpv(instance: Instance, spec: MechanismSpec) -> Randomized:
 
 
 def _mean(instance: Instance, spec: MechanismSpec) -> Deterministic:
-    agents, candidates = instance.scaled
+    agents, candidates, _ = instance.scaled
     # |c - S/n| ranks candidates as |c*n - S| does
     n = len(agents)
     return Deterministic((_closest_on_line([c * n for c in candidates], sum(agents), "low"),))

@@ -3,7 +3,8 @@ ratios of mechanisms against it.
 
 With at most two facilities the search space is every multiset of k
 candidate indices; enumeration is guarded so a pathological instance
-fails loudly instead of hanging.
+fails loudly instead of hanging.  Each multiset is costed on the core's
+integer table (distance_rows); only the optimal value becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Deterministic, Instance, distance, outcome_cost, validate_objective
+from .core import Deterministic, Instance, cost_scale, distance_rows, outcome_cost
+from .core import selection_cost, validate_objective
 
 DEFAULT_GUARD = 10**7
 
@@ -74,30 +76,21 @@ def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> O
     Raises GuardExceeded if m**k exceeds the guard.
     """
     validate_objective(objective)
-    m, k, n = instance.m, instance.k, instance.n
+    m, k = instance.m, instance.k
     if m**k > guard:
         raise GuardExceeded(f"{m}**{k} candidate multisets exceed the guard of {guard}")
-    space = instance.space
-    table = [
-        [distance(space, x, c) for c in instance.candidates] for x in instance.agents
-    ]
+    columns = tuple(zip(*distance_rows(instance)))
     best_value = None
     argmins: list[tuple[int, ...]] = []
     for selection in itertools.combinations_with_replacement(range(1, m + 1), k):
-        if k == 1:
-            j = selection[0] - 1
-            costs = (row[j] for row in table)
-        else:
-            j0, j1 = selection[0] - 1, selection[1] - 1
-            costs = (min(row[j0], row[j1]) for row in table)
-        value = sum(costs, Fraction(0)) if objective == "sc" else max(costs)
+        value = selection_cost(columns, selection, objective)
         if best_value is None or value < best_value:
             best_value = value
             argmins = [selection]
         elif value == best_value:
             argmins.append(selection)
     all_best = tuple(Deterministic(sel) for sel in argmins)
-    return OptResult(best_value, all_best[0], all_best)
+    return OptResult(Fraction(best_value, cost_scale(instance)), all_best[0], all_best)
 
 
 def ratio_of(cost: Fraction, opt: Fraction) -> Ratio:

@@ -15,8 +15,8 @@ then lexicographic agent indices (so single agents ascending first),
 joint misreports in product order with the last member's report
 varying fastest, each member's reports ascending.
 
-The search costs every outcome on one integer table of the true agents'
-distances to the candidates.  For a deterministic rule it first cuts
+The search costs every outcome on the core's integer cost table of the
+true agents (distance_rows).  For a deterministic rule it first cuts
 every coalition for which no k-multiset of candidates lowers every
 member's cost strictly.  This is exact: whatever the members report,
 the rule answers with some k-multiset, so such a coalition cannot hold
@@ -27,9 +27,10 @@ member in expectation when no single selection does.
 On the line the search scales once: the agents, the candidates and the
 misreport set go to ints over one common denominator, and every profile
 it tries reaches the rule as a Fraction instance that carries the same
-profile as those ints (Instance.scaled).  The rule's decisions are then
-made without rescaling, and they are the decisions on the Fractions,
-because multiplying every location by one positive scale keeps every
+profile as those ints, and their denominator, in one value
+(Instance.scaled).  The rule's decisions are then made without
+rescaling, and they are the decisions on the Fractions, because
+multiplying every location by one positive scale keeps every
 difference, sum and order comparison.
 """
 
@@ -46,9 +47,11 @@ from .core import (
     Instance,
     Line,
     Outcome,
+    distance_rows,
     outcome_agent_cost,
     outcome_cost,
     permute_agents,
+    row_cost,
     scale_to_integers,
     validate_objective,
 )
@@ -62,7 +65,6 @@ from .instances import (
     build_paper_instance,
     random_instance,
 )
-from .mechanisms import distance_rows
 from .solver import DEFAULT_GUARD, GuardExceeded, Ratio, optimal, ratio_of
 
 DEFAULT_GRID_POINTS = 41
@@ -91,11 +93,18 @@ class MisreportSet:
         return len(self.points)
 
 
-def misreport_set(instance: Instance, grid_points: int = DEFAULT_GRID_POINTS) -> MisreportSet:
+def misreport_set(
+    instance: Instance, grid_points: int = DEFAULT_GRID_POINTS, guard: int = DEFAULT_GUARD
+) -> MisreportSet:
+    """Raises GuardExceeded, before building a point, for a line grid a
+    search must refuse: its points are distinct and each agent skips at
+    most one, so the agents alone try n * (grid_points - 1) or more."""
     if grid_points < 0:
         raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
     if not isinstance(instance.space, Line):
         return MisreportSet(tuple(range(1, instance.space.size + 1)), grid_points)
+    if instance.n * (grid_points - 1) > guard:
+        raise GuardExceeded(f"{grid_points}-point grid exceeds the guard of {guard}")
     # On ints over the locations' common denominator times grid_points - 1
     # every grid step divides exactly, and a span of 1 is `scale`; only a
     # grid point that is no location becomes a new Fraction.
@@ -178,14 +187,6 @@ def _choices(truthful: list[tuple], options: list[tuple], coalition: tuple) -> l
     return choices
 
 
-def _table_cost(row: list[int], outcome: Outcome):
-    """An agent's cost under an outcome, read off its row of the cost
-    table: the min over the selection, in expectation for a lottery."""
-    if isinstance(outcome, Deterministic):
-        return min(row[j - 1] for j in outcome.selection)
-    return sum(prob * min(row[j - 1] for j in det.selection) for det, prob in outcome.support)
-
-
 def find_group_deviation(
     instance: Instance,
     mechanism,
@@ -221,20 +222,21 @@ def find_group_deviation(
     if not 1 <= max_coalition <= n:
         raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
     if misreports is None:
-        misreports = misreport_set(instance, grid_points)
+        misreports = misreport_set(instance, grid_points, guard)
     points = misreports.points
     line = isinstance(instance.space, Line)
     if line:
         # one scale for every profile the search tries: the agents, the
         # candidates and the misreports, each as an int over it
         m = instance.m
-        _, ints = scale_to_integers(instance.agents + instance.candidates + points)
+        scale, ints = scale_to_integers(instance.agents + instance.candidates + points)
         agent_ints, candidate_ints = ints[:n], tuple(ints[n : n + m])
         point_ints = tuple(ints[n + m :])
         # scaling is one-to-one, so the ints locate each agent's cut
         cuts = _own_indices(agent_ints, point_ints)
         int_options = [_cut(point_ints, j) for j in cuts]
         int_truthful = [(x,) for x in agent_ints]
+        carried = itertools.repeat(candidate_ints), itertools.repeat(scale)
     else:
         cuts = _own_indices(instance.agents, points)
     options = [_cut(points, j) for j in cuts]
@@ -243,7 +245,7 @@ def find_group_deviation(
         raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
     truthful = mechanism.apply(instance)
     table = distance_rows(instance)
-    base_costs = [_table_cost(row, truthful) for row in table]
+    base_costs = [row_cost(row, truthful) for row in table]
     deterministic = isinstance(truthful, Deterministic)
     if deterministic:
         selections = list(
@@ -269,9 +271,10 @@ def find_group_deviation(
             profiles = itertools.product(*_choices(truthful_choices, options, coalition))
             if line:
                 # the same choices as ints, index for index, walked in
-                # lockstep, so each profile arrives with its own ints
+                # lockstep, so each profile arrives with its own ints and
+                # the search's scale
                 int_profiles = itertools.product(*_choices(int_truthful, int_options, coalition))
-                scaled = zip(int_profiles, itertools.repeat(candidate_ints))
+                scaled = zip(int_profiles, *carried)
             else:
                 scaled = itertools.repeat(None)
             for profile, profile_scaled in zip(profiles, scaled):
@@ -280,7 +283,7 @@ def find_group_deviation(
                     if tuple(sorted(shifted.selection)) not in winning:
                         continue
                 elif shifted == truthful or any(
-                    not _table_cost(table[i - 1], shifted) < base_costs[i - 1]
+                    not row_cost(table[i - 1], shifted) < base_costs[i - 1]
                     for i in coalition
                 ):
                     continue
@@ -447,19 +450,13 @@ def sweep(
 # lower-bound replays
 
 
-REPLAY_CONSTRUCTIONS = (
-    "single-deterministic",
-    "single-randomized",
-    "two-deterministic",
-    "two-randomized",
-)
-
 _REPLAY_TABLE = {
     "single-deterministic": (SINGLE_LB_BASE, SINGLE_LB_SHIFTED, Fraction(3)),
     "single-randomized": (SINGLE_LB_BASE, SINGLE_LB_SHIFTED, Fraction(2)),
     "two-deterministic": (TWO_LB_BASE, TWO_LB_SHIFTED, Fraction(3)),
     "two-randomized": (TWO_LB_BASE, TWO_LB_SHIFTED, Fraction(2)),
 }
+REPLAY_CONSTRUCTIONS = tuple(_REPLAY_TABLE)
 
 
 @dataclass(frozen=True)

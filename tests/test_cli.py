@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from flgames import verify
 from flgames.cli import (
     EXIT_GUARD,
     EXIT_MISMATCH,
@@ -383,6 +384,17 @@ def test_exit_parse_on_out_of_range_arguments(tmp_path, capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing/dir/rows.csv", "."])
+def test_sweep_out_unwritable_path_exits_parse(tmp_path, capsys, target):
+    out = str(tmp_path / target)  # "." names the directory itself
+    argv = SWEEP_ARGS + ["--n", "2", "--objective", "mc", "--count", "2", "--out", out]
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_guard(tmp_path, capsys, monkeypatch):
     path = write_instance(tmp_path, instance_to_json(LB_BASE))
     monkeypatch.setenv("FLG_GUARD", "1")
@@ -390,6 +402,28 @@ def test_exit_guard(tmp_path, capsys, monkeypatch):
     assert main(["verify", path, "--mechanism", "leftmost"]) == EXIT_GUARD
     monkeypatch.setenv("FLG_GUARD", "not-a-number")
     assert main(["solve", path, "--objective", "mc"]) == EXIT_PARSE
+    capsys.readouterr()
+
+
+def test_verify_refuses_a_grid_past_the_guard_before_building_it(tmp_path, capsys, monkeypatch):
+    """Every agent tries at least grid - 1 reports, so once n * (grid - 1)
+    exceeds the guard no grid point is built."""
+    scaled = []
+    real = verify.scale_to_integers
+    monkeypatch.setattr(verify, "scale_to_integers", lambda values: scaled.append(1) or real(values))
+    path = write_instance(tmp_path, instance_to_json(LB_BASE))  # n = 2
+    monkeypatch.setenv("FLG_GUARD", "10")
+    for grid in ("300000", "7"):  # 2 * 6 = 12 > 10
+        assert main(["verify", path, "--mechanism", "leftmost", "--grid", grid]) == EXIT_GUARD
+    assert scaled == []
+    # 2 * 5 = 10 is within the bound: the grid is built, and the search's
+    # own count of 2 * 9 reports refuses it
+    assert main(["verify", path, "--mechanism", "leftmost", "--grid", "6"]) == EXIT_GUARD
+    assert scaled
+    assert capsys.readouterr().err.count("guard exceeded: ") == 3
+    # a metric space searches its points, whatever the grid
+    metric_path = write_instance(tmp_path, METRIC_JSON, "metric.json")
+    assert main(["verify", metric_path, "--mechanism", "dictator:1", "--grid", "300000"]) == EXIT_OK
     capsys.readouterr()
 
 

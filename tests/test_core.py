@@ -10,18 +10,14 @@ from flgames.core import (
     FiniteMetric,
     Instance,
     Randomized,
-    agent_cost,
     distance,
-    expected_agent_cost,
-    expected_cost,
     line_instance,
-    max_cost,
     metric_instance,
+    outcome_agent_cost,
     outcome_cost,
     parse_scalar,
     permute_agents,
     point_mass,
-    social_cost,
 )
 
 EPS = F(1, 10)
@@ -95,25 +91,25 @@ def test_instance_parses_mixed_exact_inputs():
 
 
 def test_agent_cost_nearest_selected_facility():
-    assert agent_cost(LB_BASE, Deterministic((1,)), 2) == F(11, 10)
-    assert agent_cost(LB_BASE, Deterministic((2,)), 2) == F(9, 10)
+    assert outcome_agent_cost(LB_BASE, Deterministic((1,)), 2) == F(11, 10)
+    assert outcome_agent_cost(LB_BASE, Deterministic((2,)), 2) == F(9, 10)
     # with both facilities open the nearer one counts
     both = line_instance(LB_BASE.agents, LB_BASE.candidates, k=2)
-    assert agent_cost(both, Deterministic((1, 2)), 2) == F(9, 10)
-    assert agent_cost(both, Deterministic((2, 2)), 2) == F(9, 10)
+    assert outcome_agent_cost(both, Deterministic((1, 2)), 2) == F(9, 10)
+    assert outcome_agent_cost(both, Deterministic((2, 2)), 2) == F(9, 10)
 
 
 def test_agent_cost_zero_on_facility():
     inst = line_instance((1,), (1,), k=1)
-    assert agent_cost(inst, Deterministic((1,)), 1) == 0
+    assert outcome_agent_cost(inst, Deterministic((1,)), 1) == 0
 
 
 def test_social_cost_tight_two_facility_instance():
     # n=4 profile (1, 4/3, 4/3, 2); facilities on 4/3 and 2 leave only
     # agent 1 paying 1/3
     inst = line_instance((1, F(4, 3), F(4, 3), 2), (F(2, 3), F(4, 3), 2), k=2)
-    assert social_cost(inst, Deterministic((2, 3))) == F(1, 3)
-    assert social_cost(inst, Deterministic((3, 3))) == F(1) + F(2, 3) * 2
+    assert outcome_cost(inst, Deterministic((2, 3)), "sc") == F(1, 3)
+    assert outcome_cost(inst, Deterministic((3, 3)), "sc") == F(1) + F(2, 3) * 2
 
 
 def test_social_cost_perturbed_two_facility_instance():
@@ -122,26 +118,26 @@ def test_social_cost_perturbed_two_facility_instance():
     eps = F(1, 100)
     inst = line_instance((1, F(4, 3), F(4, 3), 2), (F(2, 3) + eps, F(4, 3), 2), k=2)
     expected = (F(2, 3) - eps) * 2 + F(1, 3) - eps
-    assert social_cost(inst, Deterministic((1, 3))) == expected == F(491, 300)
+    assert outcome_cost(inst, Deterministic((1, 3)), "sc") == expected == F(491, 300)
 
 
 def test_max_cost_far_agent_dominates():
     inst = line_instance((F(9, 10), 3), (0, 2), k=1)
-    assert max_cost(inst, Deterministic((1,))) == 3
-    assert max_cost(inst, Deterministic((2,))) == F(11, 10)
+    assert outcome_cost(inst, Deterministic((1,)), "mc") == 3
+    assert outcome_cost(inst, Deterministic((2,)), "mc") == F(11, 10)
 
 
 def test_expected_cost_of_two_point_distribution():
     dist = Randomized(((Deterministic((1,)), F(1, 2)), (Deterministic((2,)), F(1, 2))))
-    assert expected_cost(LB_BASE, dist, "mc") == F(11, 10)
-    assert expected_agent_cost(LB_BASE, dist, 2) == 1
+    assert outcome_cost(LB_BASE, dist, "mc") == F(11, 10)
+    assert outcome_agent_cost(LB_BASE, dist, 2) == 1
     assert outcome_cost(LB_BASE, dist, "mc") == F(11, 10)
 
 
 def test_point_mass_matches_deterministic():
     det = Deterministic((2,))
-    assert expected_cost(LB_BASE, point_mass(det), "sc") == social_cost(LB_BASE, det)
-    assert expected_cost(LB_BASE, point_mass(det), "mc") == max_cost(LB_BASE, det)
+    assert outcome_cost(LB_BASE, point_mass(det), "sc") == outcome_cost(LB_BASE, det, "sc")
+    assert outcome_cost(LB_BASE, point_mass(det), "mc") == outcome_cost(LB_BASE, det, "mc")
 
 
 def test_randomized_canonical_form():
@@ -204,8 +200,8 @@ def test_cost_bounds(data):
     """Property: max cost <= social cost <= n * max cost."""
     inst = data.draw(small_line_instances(k=1))
     outcome = data.draw(selections(inst))
-    sc = social_cost(inst, outcome)
-    mc = max_cost(inst, outcome)
+    sc = outcome_cost(inst, outcome, "sc")
+    mc = outcome_cost(inst, outcome, "mc")
     assert mc <= sc <= inst.n * mc
 
 
@@ -219,7 +215,7 @@ def test_extra_facility_never_hurts(data):
     single = Deterministic((j1, j1))
     pair = Deterministic((j1, j2))
     for i in range(1, inst.n + 1):
-        assert agent_cost(inst, pair, i) <= agent_cost(inst, single, i)
+        assert outcome_agent_cost(inst, pair, i) <= outcome_agent_cost(inst, single, i)
 
 
 @given(data=st.data())
@@ -229,6 +225,6 @@ def test_point_mass_expectation_property(data):
     inst = data.draw(small_line_instances(k=1))
     outcome = data.draw(selections(inst))
     for objective in ("sc", "mc"):
-        assert expected_cost(inst, point_mass(outcome), objective) == outcome_cost(
+        assert outcome_cost(inst, point_mass(outcome), objective) == outcome_cost(
             inst, outcome, objective
         )

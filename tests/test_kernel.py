@@ -1,21 +1,28 @@
-"""Differential test: every rule, deciding on scaled integers, matches
-the plain Fraction definition of that rule on random and tie-heavy
-instances."""
+"""Differential tests: every rule, deciding on scaled integers, matches
+the plain Fraction definition of that rule, and every cost and the exact
+optimum, read off the integer cost table, match the plain Fraction cost
+definitions, on random and tie-heavy instances."""
 
+import itertools
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flgames.core import (
+    OBJECTIVES,
     Deterministic,
     FiniteMetric,
+    Instance,
     Line,
     Randomized,
     distance,
     line_instance,
     metric_instance,
+    outcome_agent_cost,
+    outcome_cost,
     permute_agents,
     scale_to_integers,
 )
@@ -26,6 +33,7 @@ from flgames.instances import (
     metric_closure,
 )
 from flgames.mechanisms import LEFTMOST, MEAN, MEDIAN, RD, TWO_EXTREMES, dictator_spec, wpv_spec
+from flgames.solver import OptResult, optimal
 
 # ---------------------------------------------------------------------------
 # reference: each rule written directly on Fractions
@@ -137,7 +145,7 @@ def tie_instances(draw):
 
 
 @st.composite
-def metric_instances(draw):
+def metric_instances(draw, ks=(1,)):
     p = draw(st.integers(1, 6))
     weight = st.one_of(st.integers(0, 3).map(F), st.fractions(0, 2, max_denominator=10**6))
     raw = [[F(0)] * p for _ in range(p)]
@@ -147,7 +155,7 @@ def metric_instances(draw):
     points = st.integers(1, p)
     agents = draw(st.lists(points, min_size=1, max_size=5))
     candidates = draw(st.lists(points, min_size=1, max_size=4))
-    return metric_instance(metric_closure(raw), agents, candidates, k=1)
+    return metric_instance(metric_closure(raw), agents, candidates, k=draw(st.sampled_from(ks)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +203,19 @@ def test_scale_to_integers():
 def test_scaled_metric_is_invisible_to_equality_hash_and_repr():
     a = FiniteMetric(((0, F(1, 2)), (F(1, 2), 0)))
     b = FiniteMetric(((F(0), F(1, 2)), (F(1, 2), F(0))))
-    assert a.scaled == ((0, 1), (1, 0))
+    assert a.scaled == ((0, 1), (1, 0)) and a.scale == 2
     assert a == b and hash(a) == hash(b)
     assert repr(a) == f"FiniteMetric(matrix={a.matrix!r})"
 
 
 def assert_scaled_maps_back(instance):
     """Instance.scaled is the agents and candidates as ints over one
-    common scale, the least one."""
-    agents, candidates = instance.scaled
+    common scale, the least one, and carries that scale."""
+    agents, candidates, carried = instance.scaled
     scale = 1
     for v in instance.agents + instance.candidates:
         scale = scale * v.denominator // gcd(scale, v.denominator)
+    assert type(carried) is int and carried == scale
     assert all(type(v) is int for v in agents + candidates)
     assert tuple(F(v, scale) for v in agents) == instance.agents
     assert tuple(F(v, scale) for v in candidates) == instance.candidates
@@ -236,12 +245,146 @@ def test_instance_scaled_maps_back_and_follows_every_new_profile(agents, candida
 def test_instance_scaled_is_invisible_to_equality_hash_and_repr():
     a = line_instance((F(1, 2), 3), (0,))
     b = line_instance((F(1, 2), 3), (0,))
-    assert a.scaled == ((1, 6), (0,))
+    assert a.scaled == ((1, 6), (0,), 2)
     # the same profile over another scale, as a search scales it
-    object.__setattr__(b, "scaled", ((3, 18), (0,)))
+    object.__setattr__(b, "scaled", ((3, 18), (0,), 6))
     assert a == b and hash(a) == hash(b)
     assert repr(a) == (
         "Instance(space=Line(), agents=(Fraction(1, 2), Fraction(3, 1)), "
         "candidates=(Fraction(0, 1),), k=1)"
     )
     assert metric_instance(((0, 1), (1, 0)), (1, 2), (2,)).scaled is None
+
+
+# ---------------------------------------------------------------------------
+# reference: costs and the optimum written directly on Fractions
+
+
+def ref_agent_cost(instance, outcome, i):
+    x = instance.agent(i)
+    return min(distance(instance.space, x, instance.candidate(j)) for j in outcome.selection)
+
+
+def ref_social_cost(instance, outcome):
+    return sum(ref_agent_cost(instance, outcome, i) for i in range(1, instance.n + 1))
+
+
+def ref_max_cost(instance, outcome):
+    return max(ref_agent_cost(instance, outcome, i) for i in range(1, instance.n + 1))
+
+
+def ref_objective_cost(instance, outcome, objective):
+    return ref_social_cost(instance, outcome) if objective == "sc" else ref_max_cost(instance, outcome)
+
+
+def ref_outcome_cost(instance, outcome, objective):
+    if isinstance(outcome, Deterministic):
+        return ref_objective_cost(instance, outcome, objective)
+    return sum(prob * ref_objective_cost(instance, det, objective) for det, prob in outcome.support)
+
+
+def ref_outcome_agent_cost(instance, outcome, i):
+    if isinstance(outcome, Deterministic):
+        return ref_agent_cost(instance, outcome, i)
+    return sum(prob * ref_agent_cost(instance, det, i) for det, prob in outcome.support)
+
+
+def ref_optimal(instance, objective):
+    best, argmins = None, []
+    for sel in itertools.combinations_with_replacement(range(1, instance.m + 1), instance.k):
+        value = ref_objective_cost(instance, Deterministic(sel), objective)
+        if best is None or value < best:
+            best, argmins = value, [sel]
+        elif value == best:
+            argmins.append(sel)
+    all_best = tuple(Deterministic(sel) for sel in argmins)
+    return OptResult(best, all_best[0], all_best)
+
+
+@st.composite
+def outcomes(draw, instance):
+    """A selection of k candidates, or a lottery over up to four."""
+    selection = st.lists(st.integers(1, instance.m), min_size=instance.k, max_size=instance.k)
+    if draw(st.booleans()):
+        return Deterministic(tuple(draw(selection)))
+    support = draw(st.lists(selection, min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+    return Randomized(
+        tuple((Deterministic(tuple(sel)), F(w, sum(weights))) for sel, w in zip(support, weights))
+    )
+
+
+def assert_costs_match_reference(instance, outcome):
+    for objective in OBJECTIVES:
+        got, want = outcome_cost(instance, outcome, objective), ref_outcome_cost(
+            instance, outcome, objective
+        )
+        assert type(got) is F and got == want, (objective, outcome, instance)
+    for i in range(1, instance.n + 1):
+        got, want = outcome_agent_cost(instance, outcome, i), ref_outcome_agent_cost(
+            instance, outcome, i
+        )
+        assert type(got) is F and got == want, (i, outcome, instance)
+    # a row read at agents[i - 1] would answer for the last agent at 0
+    for i in (0, instance.n + 1):
+        with pytest.raises(IndexError):
+            outcome_agent_cost(instance, outcome, i)
+
+
+def assert_optimal_matches_reference(instance):
+    for objective in OBJECTIVES:
+        got, want = optimal(instance, objective), ref_optimal(instance, objective)
+        assert got == want, (objective, instance)
+        assert repr(got) == repr(want)
+
+
+ANY_INSTANCE = st.one_of(
+    line_instances(),
+    line_instances(coord=COARSE),
+    tie_instances(),
+    metric_instances(ks=(1, 2)),
+)
+
+
+@given(instance=ANY_INSTANCE, data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_costs_and_optimum_match_reference(instance, data):
+    assert_optimal_matches_reference(instance)
+    assert_costs_match_reference(instance, data.draw(outcomes(instance)))
+    for spec in specs_for(instance):
+        assert_costs_match_reference(instance, spec.apply(instance))
+
+
+def test_optimum_keeps_every_tied_argmin_in_order():
+    # symmetric candidates and co-located duplicates: every objective ties
+    inst = line_instance((0, 2), (3, -1, 1, -1, 3, 1), k=1)
+    for objective in OBJECTIVES:
+        assert optimal(inst, objective) == ref_optimal(inst, objective)
+        assert optimal(inst, objective).all_best == (Deterministic((3,)), Deterministic((6,)))
+    pair = line_instance((0, 2), (3, -1, 1, -1, 3, 1), k=2)
+    for objective in OBJECTIVES:
+        result = optimal(pair, objective)
+        assert result == ref_optimal(pair, objective) and len(result.all_best) > 1
+    metric = metric_instance(((0, 1, 1), (1, 0, 2), (1, 2, 0)), (2, 3), (2, 3, 1, 1), k=1)
+    for objective in OBJECTIVES:
+        assert optimal(metric, objective) == ref_optimal(metric, objective)
+    assert optimal(metric, "mc").all_best == (Deterministic((3,)), Deterministic((4,)))
+    assert len(optimal(metric, "sc").all_best) == 4
+
+
+def test_costs_read_the_scale_a_profile_carries():
+    """A search profile carries its ints and their scale in one value, so
+    its costs are read over that scale, not the template's."""
+    template = line_instance((F(1, 2), 3), (0, F(5, 2)), k=1)
+    agents = (F(1, 3), F(7, 6))
+    profile = Instance._trusted(template, agents, ((2, 7), (0, 15), 6))
+    assert profile.scaled[2] != template.scaled[2]
+    plain = line_instance(agents, template.candidates, k=1)
+    lottery = Randomized(((Deterministic((1,)), F(1, 3)), (Deterministic((2,)), F(2, 3))))
+    for outcome in (Deterministic((1,)), Deterministic((2,)), lottery):
+        assert_costs_match_reference(profile, outcome)
+        for objective in OBJECTIVES:
+            assert outcome_cost(profile, outcome, objective) == outcome_cost(
+                plain, outcome, objective
+            )
+    assert optimal(profile, "sc") == ref_optimal(plain, "sc")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flgames.core import Deterministic, line_instance, max_cost, outcome_cost, permute_agents
+from flgames.core import Deterministic, line_instance, outcome_cost, permute_agents
 from flgames.instances import PaperConstruction, build_paper_instance
 from flgames.mechanisms import LEFTMOST, MEDIAN, RD, TWO_EXTREMES
 from flgames.solver import (
@@ -27,7 +27,7 @@ def test_optimal_single_facility_shifted_pair():
     assert result.best == Deterministic((2,))
     assert result.all_best == (Deterministic((2,)),)
     # the rejected candidate really costs 3
-    assert max_cost(inst, Deterministic((1,))) == 3
+    assert outcome_cost(inst, Deterministic((1,)), "mc") == 3
 
 
 def test_optimal_reports_every_argmin():

@@ -251,9 +251,10 @@ MEAN_AND_MEDIAN = MeanAndMedian()
 class Lockstep:
     """A rule that, before delegating, checks that the instance it is
     handed carries ints in step with its Fractions: the agents and the
-    candidates over one positive scale.  A profile out of step with its
-    ints would make the rule decide for other reports than the witness
-    names."""
+    candidates over the positive scale it carries beside them.  A profile
+    out of step with its ints would make the rule decide for other
+    reports than the witness names, and one out of step with its scale
+    would be costed over another scale than its ints'."""
 
     def __init__(self, rule):
         self.rule = rule
@@ -262,12 +263,11 @@ class Lockstep:
     def apply(self, instance):
         self.calls += 1
         values = instance.agents + instance.candidates
-        ints = instance.scaled[0] + instance.scaled[1]
+        agent_ints, candidate_ints, scale = instance.scaled
+        ints = agent_ints + candidate_ints
         assert len(ints) == len(values) and all(type(v) is int for v in ints)
-        ref = next(((x, v) for x, v in zip(values, ints) if x), (F(1), 1))
-        scale = F(ref[1]) / ref[0]
-        assert scale > 0
-        assert all(x * scale == v for x, v in zip(values, ints))
+        assert type(scale) is int and scale > 0
+        assert all(F(v, scale) == x for x, v in zip(values, ints))
         return self.rule.apply(instance)
 
 
