@@ -248,7 +248,7 @@ def cmd_run(args, guard: int) -> int:
 def cmd_verify(args, guard: int) -> int:
     instance = load_instance(args.instance)
     mechanism = parse_mechanism(args.mechanism)
-    reports = misreport_set(instance, args.grid, guard)
+    reports = misreport_set(instance, args.grid, guard, args.group_max)
     witness = find_group_deviation(
         instance, mechanism, misreports=reports, max_coalition=args.group_max, guard=guard
     )

@@ -13,6 +13,9 @@ Conventions:
     is an index into its distance matrix
   * objectives are "sc" (social cost, the sum) and "mc" (maximum cost)
 
+One routine checks a finite metric's matrix and closes it under shortest
+paths: FiniteMetric raises at its first shortcut, _closure keeps it closed.
+
 Every cost is read off one table, distance_rows: each agent's distance
 to each candidate as an int over the instance's one positive scale.
 outcome_cost, outcome_agent_cost and the solver's optimum return
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 Scalar = Fraction
@@ -81,6 +84,42 @@ class Line:
 LINE = Line()
 
 
+def _close(matrix):
+    """Check a matrix (nonempty, square, zero diagonal, symmetric and
+    nonnegative) and close its scale_to_integers ints in place with
+    Floyd-Warshall.  Returns (rows, scale, closed ints, the first 0-based
+    (i, mid, j) whose d(i, j) the loop shortened, or None); nothing changes
+    before that, so it is the first triangle violation in (mid, i, j) order."""
+    rows = tuple(tuple(parse_scalar(entry) for entry in row) for row in matrix)
+    p = len(rows)
+    if p == 0:
+        raise ValueError("empty distance matrix")
+    if any(len(row) != p for row in rows):
+        raise ValueError("distance matrix is not square")
+    scale, flat = scale_to_integers(entry for row in rows for entry in row)
+    dist = [flat[i * p : (i + 1) * p] for i in range(p)]
+    for i in range(p):
+        if dist[i][i] != 0:
+            raise ValueError(f"nonzero self-distance at point {i + 1}")
+        for j in range(i + 1, p):
+            if dist[i][j] != dist[j][i]:
+                raise ValueError(f"asymmetric distances between points {i + 1} and {j + 1}")
+            if dist[i][j] < 0:
+                raise ValueError(f"negative distance between points {i + 1} and {j + 1}")
+    shortcut = None
+    for mid in range(p):
+        row_mid = dist[mid]
+        for i in range(p):
+            via = dist[i][mid]
+            row_i = dist[i]
+            for j in range(p):
+                relaxed = via + row_mid[j]
+                if relaxed < row_i[j]:
+                    row_i[j] = relaxed
+                    shortcut = shortcut or (i, mid, j)
+    return rows, scale, dist, shortcut
+
+
 @dataclass(frozen=True)
 class FiniteMetric:
     """A finite metric space given by an explicit distance matrix.
@@ -98,37 +137,26 @@ class FiniteMetric:
     scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(parse_scalar(entry) for entry in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        p = len(rows)
-        if p == 0:
-            raise ValueError("empty distance matrix")
-        if any(len(row) != p for row in rows):
-            raise ValueError("distance matrix is not square")
-        # The O(p^3) triangle scan runs on integers, not Fractions.
-        scale, flat = scale_to_integers(entry for row in rows for entry in row)
-        ints = tuple(tuple(flat[i * p : (i + 1) * p]) for i in range(p))
-        object.__setattr__(self, "scaled", ints)
-        object.__setattr__(self, "scale", scale)
-        for i in range(p):
-            if ints[i][i] != 0:
-                raise ValueError(f"nonzero self-distance at point {i + 1}")
-            for j in range(i + 1, p):
-                if ints[i][j] != ints[j][i]:
-                    raise ValueError(f"asymmetric distances between points {i + 1} and {j + 1}")
-                if ints[i][j] < 0:
-                    raise ValueError(f"negative distance between points {i + 1} and {j + 1}")
-        for mid in range(p):
-            row_mid = ints[mid]
-            for i in range(p):
-                via = ints[i][mid]
-                row_i = ints[i]
-                for j in range(p):
-                    if via + row_mid[j] < row_i[j]:
-                        raise ValueError(
-                            f"triangle inequality fails: d({i + 1},{j + 1}) > "
-                            f"d({i + 1},{mid + 1}) + d({mid + 1},{j + 1})"
-                        )
+        rows, scale, dist, shortcut = _close(self.matrix)
+        if shortcut is not None:
+            i, mid, j = (x + 1 for x in shortcut)
+            raise ValueError(f"triangle inequality fails: d({i},{j}) > d({i},{mid}) + d({mid},{j})")
+        self.__dict__.update(matrix=rows, scaled=tuple(map(tuple, dist)), scale=scale)
+
+    @classmethod
+    def _closure(cls, weights) -> "FiniteMetric":
+        """The shortest-path closure of a weight matrix, a metric by
+        construction, so not checked again.  Dividing by the gcd makes
+        `scale` and `scaled` what FiniteMetric(closure) computes."""
+        _, scale, dist, _ = _close(weights)
+        g = gcd(scale, *(v for row in dist for v in row))
+        space = object.__new__(cls)
+        space.__dict__.update(
+            matrix=tuple(tuple(Fraction(v, scale) for v in row) for row in dist),
+            scaled=tuple(tuple(v // g for v in row) for row in dist),
+            scale=scale // g,
+        )
+        return space
 
     @property
     def size(self) -> int:

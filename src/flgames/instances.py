@@ -6,7 +6,7 @@ Two sources of instances:
     lower-bound arguments and tight approximation examples at concrete
     parameter values;
   * seeded random families (uniform line profiles, shortest-path metric
-    closures), used by the sweep and falsification machinery.
+    closures closed once by core), used by the sweep and falsification.
 
 Random instances are deterministic in (seed, index): the same pair
 always yields the same instance, independent of call order, so sweep
@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, line_instance, metric_instance, parse_scalar, scale_to_integers
+from .core import FiniteMetric, Instance, line_instance, parse_scalar
 
 # Coordinates and edge weights are drawn from a fixed fine grid so that
 # exact ties occur with realistic frequency instead of never.
@@ -176,36 +176,9 @@ def random_line_instance(family: RandomFamily, index: int) -> Instance:
 
 
 def metric_closure(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Shortest-path closure of a symmetric nonnegative weight matrix.
-
-    Floyd-Warshall over exact rationals (run on integers over a common
-    denominator for speed).  The result satisfies the triangle
-    inequality, and closing an already-closed matrix changes nothing.
-    """
-    rows = [[parse_scalar(entry) for entry in row] for row in matrix]
-    p = len(rows)
-    if any(len(row) != p for row in rows):
-        raise ValueError("weight matrix is not square")
-    for i in range(p):
-        if rows[i][i] != 0:
-            raise ValueError(f"nonzero self-distance at point {i + 1}")
-        for j in range(p):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"asymmetric weights between points {i + 1} and {j + 1}")
-            if rows[i][j] < 0:
-                raise ValueError(f"negative weight between points {i + 1} and {j + 1}")
-    scale, flat = scale_to_integers(entry for row in rows for entry in row)
-    dist = [flat[i * p : (i + 1) * p] for i in range(p)]
-    for mid in range(p):
-        row_mid = dist[mid]
-        for i in range(p):
-            via = dist[i][mid]
-            row_i = dist[i]
-            for j in range(p):
-                relaxed = via + row_mid[j]
-                if relaxed < row_i[j]:
-                    row_i[j] = relaxed
-    return tuple(tuple(Fraction(v, scale) for v in row) for row in dist)
+    """Shortest-path closure of a weight matrix, checked as FiniteMetric
+    checks but for the triangle inequality; idempotent (core._close)."""
+    return FiniteMetric._closure(matrix).matrix
 
 
 def random_metric_instance(family: RandomFamily, index: int) -> Instance:
@@ -218,13 +191,10 @@ def random_metric_instance(family: RandomFamily, index: int) -> Instance:
     raw = [[Fraction(0)] * p for _ in range(p)]
     for i in range(p):
         for j in range(i + 1, p):
-            w = _grid_draw(rng, family.low, family.high)
-            raw[i][j] = w
-            raw[j][i] = w
-    closed = metric_closure(raw)
+            raw[i][j] = raw[j][i] = _grid_draw(rng, family.low, family.high)
     agents = tuple(range(1, family.n + 1))
     candidates = tuple(range(family.n + 1, p + 1))
-    return metric_instance(closed, agents, candidates, family.k)
+    return Instance(FiniteMetric._closure(raw), agents, candidates, family.k)
 
 
 def random_instance(family: RandomFamily, index: int) -> Instance:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Union
 
 from .core import Deterministic, Instance, cost_scale, distance_rows, outcome_cost
@@ -73,12 +74,14 @@ class OptResult:
 def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> OptResult:
     """Minimize the objective over all multisets of k candidates.
 
-    Raises GuardExceeded if m**k exceeds the guard.
+    Raises GuardExceeded if the comb(m + k - 1, k) multisets it would
+    enumerate exceed the guard.
     """
     validate_objective(objective)
     m, k = instance.m, instance.k
-    if m**k > guard:
-        raise GuardExceeded(f"{m}**{k} candidate multisets exceed the guard of {guard}")
+    count = comb(m + k - 1, k)
+    if count > guard:
+        raise GuardExceeded(f"{count} candidate multisets exceed the guard of {guard}")
     columns = tuple(zip(*distance_rows(instance)))
     best_value = None
     argmins: list[tuple[int, ...]] = []

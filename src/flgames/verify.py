@@ -40,6 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .core import (
@@ -94,16 +95,24 @@ class MisreportSet:
 
 
 def misreport_set(
-    instance: Instance, grid_points: int = DEFAULT_GRID_POINTS, guard: int = DEFAULT_GUARD
+    instance: Instance,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    guard: int = DEFAULT_GUARD,
+    max_coalition: int = 1,
 ) -> MisreportSet:
     """Raises GuardExceeded, before building a point, for a line grid a
-    search must refuse: its points are distinct and each agent skips at
-    most one, so the agents alone try n * (grid_points - 1) or more."""
+    search over coalitions of up to max_coalition agents must refuse: its
+    points are distinct and each agent skips at most one, so the search
+    tries at least sum over sizes s of comb(n, s) * (grid_points - 1)**s
+    joint reports."""
     if grid_points < 0:
         raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
     if not isinstance(instance.space, Line):
         return MisreportSet(tuple(range(1, instance.space.size + 1)), grid_points)
-    if instance.n * (grid_points - 1) > guard:
+    # clamped at 0: for grid_points <= 1 a negative base would alternate in sign
+    tried = max(grid_points - 1, 0)
+    sizes = range(1, min(max_coalition, instance.n) + 1)
+    if sum(comb(instance.n, s) * tried**s for s in sizes) > guard:
         raise GuardExceeded(f"{grid_points}-point grid exceeds the guard of {guard}")
     # On ints over the locations' common denominator times grid_points - 1
     # every grid step divides exactly, and a span of 1 is `scale`; only a
@@ -222,7 +231,7 @@ def find_group_deviation(
     if not 1 <= max_coalition <= n:
         raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
     if misreports is None:
-        misreports = misreport_set(instance, grid_points, guard)
+        misreports = misreport_set(instance, grid_points, guard, max_coalition)
     points = misreports.points
     line = isinstance(instance.space, Line)
     if line:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +22,10 @@ from flgames.cli import (
 )
 from flgames.core import line_instance, metric_instance
 from flgames.instances import PaperConstruction, build_paper_instance
-from flgames.solver import INFINITE_RATIO
+from flgames.mechanisms import LEFTMOST
+from flgames.solver import INFINITE_RATIO, GuardExceeded
 
+GOLDEN = Path(__file__).parent / "data" / "golden_line_n5_m4_seed42_idx3.json"
 LB_SHIFTED = build_paper_instance(PaperConstruction("single-lb-I-prime", eps=F(1, 10)))
 LB_BASE = build_paper_instance(PaperConstruction("single-lb-I", eps=F(1, 10)))
 
@@ -425,6 +431,52 @@ def test_verify_refuses_a_grid_past_the_guard_before_building_it(tmp_path, capsy
     metric_path = write_instance(tmp_path, METRIC_JSON, "metric.json")
     assert main(["verify", metric_path, "--mechanism", "dictator:1", "--grid", "300000"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_verify_refuses_a_coalition_grid_past_the_guard_before_building_it(capsys, monkeypatch):
+    """Coalitions of up to --group-max agents try at least
+    sum over s of comb(n, s) * (grid - 1)**s joint reports, so the grid
+    is refused unbuilt once that exceeds the guard."""
+    scaled = []
+    real = verify.scale_to_integers
+    monkeypatch.setattr(verify, "scale_to_integers", lambda values: scaled.append(1) or real(values))
+    monkeypatch.setenv("FLG_GUARD", "1000000")
+    # n = 5: 5 * 199999 is within the guard, 10 * 199999**2 more is not
+    argv = ["verify", str(GOLDEN), "--mechanism", "leftmost", "--group-max", "2", "--grid", "200000"]
+    assert main(argv) == EXIT_GUARD
+    assert capsys.readouterr().err == "guard exceeded: 200000-point grid exceeds the guard of 1000000\n"
+    # the library search passes its coalition size to the same bound
+    instance = instance_from_json(json.loads(GOLDEN.read_text()))
+    with pytest.raises(GuardExceeded, match="^200000-point grid exceeds the guard of 1000000$"):
+        verify.find_group_deviation(
+            instance, LEFTMOST, max_coalition=2, grid_points=200000, guard=10**6
+        )
+    assert scaled == []
+
+
+def test_python_m_output_is_the_same_bytes_under_any_hash_seed(capsys):
+    """`python -m flgames` in fresh processes under two hash seeds prints
+    the bytes the in-process main prints: A8's sweep, a metric-closure
+    sweep, and a verify of the golden instance."""
+    commands = [
+        ["sweep", "--family", "line-uniform", "--n", "5", "--m", "4", "--seed", "17"]
+        + ["--mechanism", "two-extremes", "--k", "2", "--objective", "sc", "--count", "200"],
+        ["sweep", "--family", "metric-closure", "--n", "4", "--m", "3", "--seed", "17"]
+        + ["--mechanism", "dictator:1", "--objective", "mc", "--count", "200"],
+        ["verify", str(GOLDEN), "--mechanism", "mean"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in commands:
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr().out.encode()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-m", "flgames", *argv], env=env, capture_output=True, timeout=120
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+            assert done.stdout == expected, (argv, seed)
 
 
 def test_exit_parse_on_nonpositive_guard(tmp_path, capsys, monkeypatch):

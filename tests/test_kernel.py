@@ -1,7 +1,8 @@
 """Differential tests: every rule, deciding on scaled integers, matches
 the plain Fraction definition of that rule, and every cost and the exact
 optimum, read off the integer cost table, match the plain Fraction cost
-definitions, on random and tie-heavy instances."""
+definitions, on random and tie-heavy instances; the metric closure and
+triangle check on ints match Floyd-Warshall and the scan on Fractions."""
 
 import itertools
 from fractions import Fraction as F
@@ -388,3 +389,71 @@ def test_costs_read_the_scale_a_profile_carries():
                 plain, outcome, objective
             )
     assert optimal(profile, "sc") == ref_optimal(plain, "sc")
+
+
+# ---------------------------------------------------------------------------
+# reference: the shortest-path closure and the triangle scan on Fractions
+
+
+def ref_closure(weights):
+    """Floyd-Warshall on the Fractions themselves."""
+    dist = [[F(entry) for entry in row] for row in weights]
+    p = len(dist)
+    for mid in range(p):
+        for i in range(p):
+            for j in range(p):
+                if dist[i][mid] + dist[mid][j] < dist[i][j]:
+                    dist[i][j] = dist[i][mid] + dist[mid][j]
+    return tuple(tuple(row) for row in dist)
+
+
+def ref_triangle_error(matrix):
+    """The first triangle violation in (mid, i, j) order, as FiniteMetric
+    words it, or None."""
+    p = len(matrix)
+    for mid in range(p):
+        for i in range(p):
+            for j in range(p):
+                if matrix[i][mid] + matrix[mid][j] < matrix[i][j]:
+                    return (
+                        f"triangle inequality fails: d({i + 1},{j + 1}) > "
+                        f"d({i + 1},{mid + 1}) + d({mid + 1},{j + 1})"
+                    )
+    return None
+
+
+@st.composite
+def weight_matrices(draw):
+    """Symmetric nonnegative matrices, mostly not metrics: zero and
+    repeated weights, and denominators that the closure may cancel."""
+    p = draw(st.integers(1, 7))
+    pool = draw(
+        st.lists(
+            st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6, 7))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    weights = [[F(0)] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            weights[i][j] = weights[j][i] = draw(st.sampled_from(pool))
+    return tuple(tuple(row) for row in weights)
+
+
+@given(weights=weight_matrices())
+@settings(max_examples=400, deadline=None)
+def test_closure_and_triangle_check_match_reference(weights):
+    closure = FiniteMetric._closure(weights)
+    expected = FiniteMetric(ref_closure(weights))
+    assert closure.matrix == expected.matrix
+    assert closure.scaled == expected.scaled
+    assert closure.scale == expected.scale
+    assert repr(closure) == repr(expected)
+    error = ref_triangle_error(weights)
+    if error is None:
+        assert FiniteMetric(weights) == closure
+    else:
+        with pytest.raises(ValueError) as raised:
+            FiniteMetric(weights)
+        assert str(raised.value) == error

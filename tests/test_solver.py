@@ -69,10 +69,11 @@ def test_optimal_selection_is_canonical_sorted_form():
 
 
 def test_guard():
+    # k = 2 over m = 3 candidates enumerates comb(4, 2) = 6 multisets
     inst = line_instance((0, 1), (0, 1, 2), k=2)
-    with pytest.raises(GuardExceeded):
-        optimal(inst, "sc", guard=8)
-    assert optimal(inst, "sc", guard=9).value == 0
+    with pytest.raises(GuardExceeded, match="^6 candidate multisets exceed the guard of 5$"):
+        optimal(inst, "sc", guard=5)
+    assert optimal(inst, "sc", guard=6).value == 0
 
 
 def test_ratio_of_conventions():
