@@ -55,7 +55,6 @@ from .verify import (
     DEFAULT_GRID_POINTS,
     REPLAY_CONSTRUCTIONS,
     DeviationWitness,
-    MisreportSet,
     RatioReport,
     ReplayReport,
     SweepRow,

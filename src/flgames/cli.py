@@ -39,7 +39,6 @@ from .verify import (
     find_group_deviation,
     iter_sweep,
     joint_misreport_count,
-    misreport_options,
     misreport_set,
     replay_lower_bound,
 )
@@ -248,22 +247,22 @@ def cmd_run(args, guard: int) -> int:
 def cmd_verify(args, guard: int) -> int:
     instance = load_instance(args.instance)
     mechanism = parse_mechanism(args.mechanism)
-    reports = misreport_set(instance, args.grid, guard, args.group_max)
+    points = misreport_set(instance, args.grid, guard, args.group_max)
     witness = find_group_deviation(
-        instance, mechanism, misreports=reports, max_coalition=args.group_max, guard=guard
+        instance, mechanism, misreports=points, max_coalition=args.group_max, guard=guard
     )
     if witness is None:
-        options = misreport_options(instance, reports)
+        tried = len(points) - 1
         payload = {
             "command": "verify",
             "mechanism": mechanism.label(),
             "result": "none",
             "searched": {
                 "agents": instance.n,
-                "grid_points": reports.grid_points,
-                "misreports_per_agent": [len(opts) for opts in options],
+                "grid_points": args.grid,
+                "misreports_per_agent": [tried] * instance.n,
                 "max_coalition": args.group_max,
-                "joint_misreports": joint_misreport_count(options, args.group_max),
+                "joint_misreports": joint_misreport_count(instance.n, tried, args.group_max),
             },
         }
     else:
@@ -303,18 +302,13 @@ def cmd_sweep(args, guard: int) -> int:
     lines = ["index,n,m,k,mech_cost,opt_cost,ratio"]
     worst = None
     for row in iter_sweep(family, mechanism, args.objective, args.count, guard):
-        ratio_text = str(row.ratio) if isinstance(row.ratio, Fraction) else "inf"
         lines.append(
             f"{row.index},{row.instance.n},{row.instance.m},{row.instance.k},"
-            f"{row.mechanism_cost},{row.optimal_cost},{ratio_text}"
+            f"{row.mechanism_cost},{row.optimal_cost},{row.ratio}"
         )
         if worst is None or row.ratio > worst:
             worst = row.ratio
-    if worst is None:
-        footer = "max,,,,,,n/a"
-    else:
-        footer = f"max,,,,,,{worst if isinstance(worst, Fraction) else 'inf'}"
-    lines.append(footer)
+    lines.append(f"max,,,,,,{'n/a' if worst is None else worst}")
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

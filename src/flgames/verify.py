@@ -8,7 +8,12 @@ returned witness is an exact, replayable counterexample.
 
 One loop searches for misreports: unilateral search is the group search
 restricted to coalitions of size 1, under the same guard, just as
-strategyproofness is group strategyproofness for single agents.
+strategyproofness is group strategyproofness for single agents.  The
+misreport set holds every agent's true location, so each agent tries
+|set| - 1 reports, and coalitions of up to s_max of the n agents try
+sum over s = 1..s_max of C(n, s) * (|set| - 1)**s joint reports
+(joint_misreport_count): the count the guard checks and `verify`
+reports as joint_misreports.
 
 Scan order is fixed so witnesses are reproducible: coalitions by size
 then lexicographic agent indices (so single agents ascending first),
@@ -75,23 +80,14 @@ DEFAULT_GRID_POINTS = 41
 # misreport sets
 
 
-@dataclass(frozen=True)
-class MisreportSet:
-    """The finite set of reports tried for each agent, ascending.
-
-    On the line: every candidate location, every true agent location,
-    and a uniform grid of grid_points points spanning the instance's
-    location range widened by one range-width on each side (at least 1).
-    In a finite metric space: every point.  The same set serves every
-    agent; an agent's own true location is skipped during search.
-    """
-
-    points: tuple
-    grid_points: int
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
+def joint_misreport_count(n: int, tried: int, max_coalition: int) -> int:
+    """Joint reports a search over coalitions of up to max_coalition of
+    n agents tries when each agent tries `tried` reports: the sum over
+    sizes s of comb(n, s) * tried**s.  Raises ValueError for a
+    max_coalition outside 1..n."""
+    if not 1 <= max_coalition <= n:
+        raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
+    return sum(comb(n, s) * tried**s for s in range(1, max_coalition + 1))
 
 
 def misreport_set(
@@ -99,20 +95,29 @@ def misreport_set(
     grid_points: int = DEFAULT_GRID_POINTS,
     guard: int = DEFAULT_GUARD,
     max_coalition: int = 1,
-) -> MisreportSet:
-    """Raises GuardExceeded, before building a point, for a line grid a
-    search over coalitions of up to max_coalition agents must refuse: its
-    points are distinct and each agent skips at most one, so the search
-    tries at least sum over sizes s of comb(n, s) * (grid_points - 1)**s
+) -> tuple:
+    """The finite set of reports tried for each agent, ascending.
+
+    On the line: every candidate location, every true agent location,
+    and a uniform grid of grid_points points spanning the instance's
+    location range widened by one range-width on each side (at least 1).
+    In a finite metric space: every point.  The same set serves every
+    agent and holds every agent's true location, which the search
+    skips, so each agent tries exactly len(set) - 1 reports.
+
+    Before building a point it raises ValueError for a max_coalition
+    outside 1..n and, on the line, GuardExceeded for a grid the search
+    must refuse: the grid's points are distinct, so the search tries at
+    least joint_misreport_count(n, grid_points - 1, max_coalition)
     joint reports."""
     if grid_points < 0:
         raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
-    if not isinstance(instance.space, Line):
-        return MisreportSet(tuple(range(1, instance.space.size + 1)), grid_points)
+    # counted on every space, so max_coalition's range is checked there too;
     # clamped at 0: for grid_points <= 1 a negative base would alternate in sign
-    tried = max(grid_points - 1, 0)
-    sizes = range(1, min(max_coalition, instance.n) + 1)
-    if sum(comb(instance.n, s) * tried**s for s in sizes) > guard:
+    least = joint_misreport_count(instance.n, max(grid_points - 1, 0), max_coalition)
+    if not isinstance(instance.space, Line):
+        return tuple(range(1, instance.space.size + 1))
+    if least > guard:
         raise GuardExceeded(f"{grid_points}-point grid exceeds the guard of {guard}")
     # On ints over the locations' common denominator times grid_points - 1
     # every grid step divides exactly, and a span of 1 is `scale`; only a
@@ -130,7 +135,7 @@ def misreport_set(
         v = start + t * step
         if v not in points:
             points[v] = Fraction(v, scale)
-    return MisreportSet(tuple(points[v] for v in sorted(points)), grid_points)
+    return tuple(points[v] for v in sorted(points))
 
 
 # ---------------------------------------------------------------------------
@@ -150,43 +155,6 @@ class DeviationWitness:
     costs_after: tuple[Fraction, ...]
 
 
-def _own_indices(agents, points: tuple) -> list[Optional[int]]:
-    """Per agent, the index of its true location among the points, or
-    None; points are distinct, so cutting at it spares comparing the
-    location with every later point."""
-    indices = []
-    for x in agents:
-        try:
-            indices.append(points.index(x))
-        except ValueError:
-            indices.append(None)
-    return indices
-
-
-def _cut(points: tuple, j: Optional[int]) -> tuple:
-    return points if j is None else points[:j] + points[j + 1 :]
-
-
-def misreport_options(instance: Instance, misreports: MisreportSet) -> list[tuple]:
-    """Per-agent reports actually tried: the set minus the agent's own
-    true location."""
-    points = misreports.points
-    return [_cut(points, j) for j in _own_indices(instance.agents, points)]
-
-
-def joint_misreport_count(options: list[tuple], max_coalition: int) -> int:
-    """Total joint reports a group search over these per-agent options
-    will try (its guard budget)."""
-    total = 0
-    for size in range(1, max_coalition + 1):
-        for coalition in itertools.combinations(options, size):
-            combos = 1
-            for reports in coalition:
-                combos *= len(reports)
-            total += combos
-    return total
-
-
 def _choices(truthful: list[tuple], options: list[tuple], coalition: tuple) -> list[tuple]:
     """Per agent, the reports product() walks: a member's options, and
     every other agent's one truthful report."""
@@ -199,7 +167,7 @@ def _choices(truthful: list[tuple], options: list[tuple], coalition: tuple) -> l
 def find_group_deviation(
     instance: Instance,
     mechanism,
-    misreports: Optional[MisreportSet] = None,
+    misreports: Optional[tuple] = None,
     max_coalition: int = 1,
     grid_points: int = DEFAULT_GRID_POINTS,
     guard: int = DEFAULT_GUARD,
@@ -210,8 +178,11 @@ def find_group_deviation(
 
     Members reporting truthfully are not enumerated: a witness with an
     idle member implies a smaller-coalition witness, which the
-    size-ascending scan finds first.  Raises GuardExceeded if the total
-    number of joint reports to try exceeds the guard.
+    size-ascending scan finds first.  Each agent tries every misreport
+    but its own true location, which the misreports must hold (else
+    ValueError).  Raises GuardExceeded if the total number of joint
+    reports to try, joint_misreport_count(n, len(misreports) - 1,
+    max_coalition), exceeds the guard.
 
     Costs are read off one table of the true agents' distances to the
     candidates, as ints over one common denominator; Fractions are built
@@ -228,11 +199,12 @@ def find_group_deviation(
     is skipped.
     """
     n = instance.n
-    if not 1 <= max_coalition <= n:
-        raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
-    if misreports is None:
-        misreports = misreport_set(instance, grid_points, guard, max_coalition)
-    points = misreports.points
+    points = misreports
+    if points is None:
+        points = misreport_set(instance, grid_points, guard, max_coalition)
+    total = joint_misreport_count(n, len(points) - 1, max_coalition)
+    if total > guard:
+        raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
     line = isinstance(instance.space, Line)
     if line:
         # one scale for every profile the search tries: the agents, the
@@ -241,17 +213,23 @@ def find_group_deviation(
         scale, ints = scale_to_integers(instance.agents + instance.candidates + points)
         agent_ints, candidate_ints = ints[:n], tuple(ints[n : n + m])
         point_ints = tuple(ints[n + m :])
-        # scaling is one-to-one, so the ints locate each agent's cut
-        cuts = _own_indices(agent_ints, point_ints)
-        int_options = [_cut(point_ints, j) for j in cuts]
+        # scaling is one-to-one, so the ints locate each agent's own report
+        own, among = agent_ints, point_ints
         int_truthful = [(x,) for x in agent_ints]
         carried = itertools.repeat(candidate_ints), itertools.repeat(scale)
     else:
-        cuts = _own_indices(instance.agents, points)
-    options = [_cut(points, j) for j in cuts]
-    total = joint_misreport_count(options, max_coalition)
-    if total > guard:
-        raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
+        own, among = instance.agents, points
+    cuts = []
+    for i, x in enumerate(own, 1):
+        try:
+            cuts.append(among.index(x))
+        except ValueError:
+            raise ValueError(
+                f"agent {i}'s true location {instance.agents[i - 1]} is not in the misreports"
+            ) from None
+    options = [points[:j] + points[j + 1 :] for j in cuts]
+    if line:
+        int_options = [point_ints[:j] + point_ints[j + 1 :] for j in cuts]
     truthful = mechanism.apply(instance)
     table = distance_rows(instance)
     base_costs = [row_cost(row, truthful) for row in table]
@@ -310,7 +288,7 @@ def find_group_deviation(
 def find_unilateral_deviation(
     instance: Instance,
     mechanism,
-    misreports: Optional[MisreportSet] = None,
+    misreports: Optional[tuple] = None,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> Optional[DeviationWitness]:
     """First strictly profitable single-agent misreport in scan order,

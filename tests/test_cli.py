@@ -178,18 +178,43 @@ def test_verify_finds_the_strawman_witness(tmp_path, capsys):
     ]
 
 
-def test_verify_clean_mechanism_reports_search_size(tmp_path, capsys):
-    path = write_instance(tmp_path, instance_to_json(LB_BASE))
-    code, payload = run_json(capsys, ["verify", path, "--mechanism", "leftmost"])
+@pytest.mark.parametrize(
+    "instance, flags, searched",
+    [
+        pytest.param(
+            instance_to_json(LB_BASE),
+            ["--mechanism", "leftmost"],
+            {
+                "agents": 2,
+                "grid_points": 41,
+                "misreports_per_agent": [44, 44],
+                "max_coalition": 1,
+                "joint_misreports": 88,
+            },
+            id="line",
+        ),
+        # a metric space searches its 3 points, whatever the grid: each
+        # agent tries the 2 it does not sit on, so 2 + 2 + 2 * 2 joint reports
+        pytest.param(
+            METRIC_JSON,
+            ["--mechanism", "dictator:1", "--grid", "7", "--group-max", "2"],
+            {
+                "agents": 2,
+                "grid_points": 7,
+                "misreports_per_agent": [2, 2],
+                "max_coalition": 2,
+                "joint_misreports": 8,
+            },
+            id="metric",
+        ),
+    ],
+)
+def test_verify_clean_mechanism_reports_search_size(tmp_path, capsys, instance, flags, searched):
+    path = write_instance(tmp_path, instance)
+    code, payload = run_json(capsys, ["verify", path, *flags])
     assert code == EXIT_OK
     assert payload["result"] == "none"
-    assert payload["searched"] == {
-        "agents": 2,
-        "grid_points": 41,
-        "misreports_per_agent": [44, 44],
-        "max_coalition": 1,
-        "joint_misreports": 88,
-    }
+    assert payload["searched"] == searched
 
 
 def test_verify_group_flag(tmp_path, capsys):
@@ -379,15 +404,23 @@ SWEEP_ARGS = ["sweep", "--family", "line-uniform", "--m", "2", "--mechanism", "l
         SWEEP_ARGS + ["--n", "2", "--objective", "mc", "--count", "-3"],
         ["replay", "--construction", "single-deterministic", "--mechanism", "leftmost",
          "--epsilon", "3/2"],
+        ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "0", "--grid", "2000000"],
+        ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "3", "--grid", "2000000"],
     ],
 )
-def test_exit_parse_on_out_of_range_arguments(tmp_path, capsys, argv):
+def test_exit_parse_on_out_of_range_arguments(tmp_path, capsys, monkeypatch, argv):
+    """An argument out of range is refused before any misreport is built,
+    whatever the grid."""
+    scaled = []
+    real = verify.scale_to_integers
+    monkeypatch.setattr(verify, "scale_to_integers", lambda values: scaled.append(1) or real(values))
     path = write_instance(tmp_path, instance_to_json(LB_BASE))
     assert main([arg.replace("{path}", path) for arg in argv]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid argument: ")
     assert captured.err.count("\n") == 1
+    assert scaled == []
 
 
 @pytest.mark.parametrize("target", ["missing/dir/rows.csv", "."])

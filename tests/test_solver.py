@@ -90,6 +90,11 @@ def test_infinite_ratio_ordering():
     assert max(F(3), INFINITE_RATIO) == INFINITE_RATIO
 
 
+def test_infinite_ratio_prints_as_inf():
+    # the sweep CSV writes a ratio with str() and f-strings alike
+    assert str(INFINITE_RATIO) == f"{INFINITE_RATIO}" == "inf"
+
+
 def test_two_extremes_ratio_on_tight_instance():
     # exact at eps = 1/100, n = 4
     inst = build("example-1", eps=F(1, 100), n=4)

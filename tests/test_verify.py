@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flgames.core import (
@@ -37,7 +37,6 @@ from flgames.verify import (
     find_unilateral_deviation,
     iter_sweep,
     joint_misreport_count,
-    misreport_options,
     misreport_set,
     replay_lower_bound,
     sweep,
@@ -51,21 +50,19 @@ PAIR_TRAP = line_instance((F(13, 8), F(15, 8), -4, -4), (0, 2), k=1)
 
 
 def test_misreport_set_on_the_line():
-    ms = misreport_set(LB_BASE)
-    points = ms.points
+    points = misreport_set(LB_BASE)
     # all true locations are present, the window is one span wide on
     # each side, and the scan order is ascending
     for loc in (F(0), F(2), F(9, 10), F(11, 10)):
         assert loc in points
     assert points[0] == -2 and points[-1] == 4
     assert list(points) == sorted(set(points))
-    assert ms.size == 45
-    assert ms.grid_points == 41
+    assert len(points) == 45
 
 
 def test_misreport_set_grid_sizes():
-    assert misreport_set(LB_BASE, grid_points=0).size == 4
-    assert misreport_set(LB_BASE, grid_points=3).size == 7  # -2, 1, 4 plus locations
+    assert len(misreport_set(LB_BASE, grid_points=0)) == 4
+    assert len(misreport_set(LB_BASE, grid_points=3)) == 7  # -2, 1, 4 plus locations
     with pytest.raises(ValueError):
         misreport_set(LB_BASE, grid_points=-1)
 
@@ -105,14 +102,14 @@ def grid_instances(draw):
 @example(instance=line_instance((F(1, 10**6), F(-3, 999_999)), (0,)), grid_points=41)
 @settings(max_examples=200, deadline=None)
 def test_integer_grid_matches_the_fraction_grid(instance, grid_points):
-    points = misreport_set(instance, grid_points).points
+    points = misreport_set(instance, grid_points)
     assert points == reference_misreport_points(instance, grid_points)
     assert all(type(p) is F for p in points)
 
 
 def test_misreport_set_metric_is_every_point():
     inst = metric_instance(((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1,), (2, 3), k=1)
-    assert misreport_set(inst).points == (1, 2, 3)
+    assert misreport_set(inst) == (1, 2, 3)
 
 
 def test_truthful_mechanisms_yield_no_witness():
@@ -170,6 +167,10 @@ def test_group_search_guard_and_bounds():
         find_group_deviation(LB_BASE, MEAN, max_coalition=3)
     with pytest.raises(ValueError):
         find_group_deviation(LB_BASE, MEAN, max_coalition=0)
+    # the set refuses a coalition bound out of range before its grid guard
+    for bound in (0, 3):
+        with pytest.raises(ValueError, match=f"^max_coalition must be in 1..2, got {bound}$"):
+            misreport_set(LB_BASE, grid_points=10**9, max_coalition=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +187,7 @@ def reference_unilateral(instance, mechanism, misreports):
             continue
         true_location = agents[i - 1]
         prefix, suffix = agents[: i - 1], agents[i:]
-        for report in misreports.points:
+        for report in misreports:
             if report == true_location:
                 continue
             shifted = mechanism.apply(instance.replace_agents(prefix + (report,) + suffix))
@@ -201,7 +202,7 @@ def reference_unilateral(instance, mechanism, misreports):
 
 
 def reference_group(instance, mechanism, misreports, max_coalition):
-    options = [tuple(r for r in misreports.points if r != x) for x in instance.agents]
+    options = [tuple(r for r in misreports if r != x) for x in instance.agents]
     truthful = mechanism.apply(instance)
     base_costs = [outcome_agent_cost(instance, truthful, i) for i in range(1, instance.n + 1)]
     for size in range(1, max_coalition + 1):
@@ -363,8 +364,50 @@ def test_search_skips_coalitions_no_selection_can_help_but_not_lotteries():
         assert counting.calls == 1
     lottery = CountingRule(RD)
     assert find_group_deviation(inst, lottery, misreports, max_coalition=3) is None
-    joint = joint_misreport_count(misreport_options(inst, misreports), 3)
-    assert lottery.calls == 1 + joint
+    assert lottery.calls == 1 + joint_misreport_count(inst.n, len(misreports) - 1, 3)
+
+
+@st.composite
+def count_cases(draw):
+    """A small line or metric instance, and a coalition bound for it."""
+    kind = draw(st.sampled_from(("line-uniform", "metric-closure")))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    family = RandomFamily(kind, n=n, m=m, seed=draw(st.integers(0, 10**6)))
+    instance = random_instance(family, draw(st.integers(0, 1000)))
+    return instance, draw(st.integers(1, min(3, instance.n)))
+
+
+@given(case=count_cases(), grid_points=st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_count_is_the_work_of_an_uncut_search(case, grid_points):
+    """rd is cut only at a member whose truthful cost is 0, so with none
+    such a clean search applies the rule once truthfully and once per
+    joint report the closed form counts."""
+    instance, max_coalition = case
+    truthful = RD.apply(instance)
+    assume(all(outcome_agent_cost(instance, truthful, i) > 0 for i in range(1, instance.n + 1)))
+    misreports = misreport_set(instance, grid_points, max_coalition=max_coalition)
+    assert all(x in misreports for x in instance.agents)
+    counting = CountingRule(RD)
+    witness = find_group_deviation(instance, counting, misreports, max_coalition)
+    joint = joint_misreport_count(instance.n, len(misreports) - 1, max_coalition)
+    if witness is None:
+        assert counting.calls == 1 + joint
+    else:
+        assert counting.calls <= 1 + joint
+
+
+def test_misreports_must_hold_every_true_location():
+    points = misreport_set(LB_BASE, grid_points=3)
+    lacking = tuple(r for r in points if r not in LB_BASE.agents)
+    with pytest.raises(ValueError, match="^agent 1's true location"):
+        find_group_deviation(LB_BASE, LEFTMOST, lacking)
+    second = LB_BASE.agents[1]
+    with pytest.raises(ValueError, match=f"^agent 2's true location {second} "):
+        find_unilateral_deviation(LB_BASE, LEFTMOST, tuple(r for r in points if r != second))
+    metric = metric_instance(((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1, 3), (2, 3), k=1)
+    with pytest.raises(ValueError, match="^agent 2's true location 3 "):
+        find_group_deviation(metric, dictator_spec(1), (1, 2))
 
 
 def test_every_profile_arrives_with_its_own_ints():
