@@ -9,7 +9,6 @@ from .core import (
     Line,
     Outcome,
     Randomized,
-    Scalar,
     distance,
     line_instance,
     metric_instance,
@@ -55,7 +54,6 @@ from .verify import (
     DEFAULT_GRID_POINTS,
     REPLAY_CONSTRUCTIONS,
     DeviationWitness,
-    RatioReport,
     ReplayReport,
     SweepRow,
     check_anonymity,
@@ -64,7 +62,6 @@ from .verify import (
     iter_sweep,
     misreport_set,
     replay_lower_bound,
-    sweep,
 )
 
 __version__ = "0.1.0"

@@ -30,8 +30,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-Scalar = Fraction
-
 OBJECTIVES = ("sc", "mc")
 
 

@@ -2,7 +2,8 @@
 
 Searches for counterexamples to the properties the mechanisms are
 supposed to have: profitable misreports (unilateral and coalitional),
-anonymity violations, and approximation ratios above the proven bounds.
+anonymity violations, and approximation ratios above the proven bounds
+(iter_sweep yields each seeded instance's exact ratio).
 A clean pass is evidence over the searched set, never a proof; a
 returned witness is an exact, replayable counterexample.
 
@@ -339,53 +340,6 @@ class SweepRow:
     ratio: Ratio
 
 
-HISTOGRAM_EDGES = (
-    Fraction(1),
-    Fraction(5, 4),
-    Fraction(3, 2),
-    Fraction(7, 4),
-    Fraction(2),
-    Fraction(5, 2),
-    Fraction(3),
-)
-
-HISTOGRAM_LABELS = (
-    "<1",
-    "[1,5/4)",
-    "[5/4,3/2)",
-    "[3/2,7/4)",
-    "[7/4,2)",
-    "[2,5/2)",
-    "[5/2,3)",
-    "[3,inf)",
-    "inf",
-)
-
-
-def _bucket(value: Ratio) -> str:
-    if not isinstance(value, Fraction):
-        return "inf"
-    if value < 1:
-        return "<1"
-    for edge, label in zip(HISTOGRAM_EDGES[1:], HISTOGRAM_LABELS[1:-2]):
-        if value < edge:
-            return label
-    return "[3,inf)"
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Aggregate of a sweep: worst ratio seen, where, and the spread."""
-
-    mechanism: str
-    objective: str
-    count: int
-    max_ratio: Optional[Ratio]
-    argmax_index: Optional[int]
-    argmax_instance: Optional[Instance]
-    histogram: tuple[tuple[str, int], ...]
-
-
 def iter_sweep(
     family: RandomFamily,
     mechanism,
@@ -403,34 +357,6 @@ def iter_sweep(
         cost = outcome_cost(inst, mechanism.apply(inst), objective)
         opt = optimal(inst, objective, guard).value
         yield SweepRow(index, inst, cost, opt, ratio_of(cost, opt))
-
-
-def sweep(
-    family: RandomFamily,
-    mechanism,
-    objective: str,
-    count: int,
-    guard: int = DEFAULT_GUARD,
-) -> RatioReport:
-    counts = {label: 0 for label in HISTOGRAM_LABELS}
-    worst = None
-    argmax_index = None
-    argmax_instance = None
-    for row in iter_sweep(family, mechanism, objective, count, guard):
-        counts[_bucket(row.ratio)] += 1
-        if worst is None or row.ratio > worst:
-            worst = row.ratio
-            argmax_index = row.index
-            argmax_instance = row.instance
-    return RatioReport(
-        mechanism=mechanism.label(),
-        objective=objective,
-        count=count,
-        max_ratio=worst,
-        argmax_index=argmax_index,
-        argmax_instance=argmax_instance,
-        histogram=tuple((label, counts[label]) for label in HISTOGRAM_LABELS),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from flgames import verify
+from flgames import cli, verify
 from flgames.cli import (
     EXIT_GUARD,
     EXIT_MISMATCH,
@@ -316,6 +316,35 @@ def test_sweep_empty_footer(capsys):
     assert capsys.readouterr().out == "index,n,m,k,mech_cost,opt_cost,ratio\nmax,,,,,,n/a\n"
 
 
+@pytest.mark.parametrize("out", [None, "rows.csv"], ids=["stdout", "out-file"])
+@pytest.mark.parametrize("stop", ["guard", "third-row"])
+def test_sweep_that_fails_writes_nothing(tmp_path, capsys, monkeypatch, out, stop):
+    """sweep writes its CSV once, after the last row, so a sweep that
+    fails, on its first row or a later one, leaves stdout empty and
+    creates no --out file."""
+    argv = ["sweep", "--family", "line-uniform", "--n", "3", "--m", "3"]
+    argv += ["--mechanism", "leftmost", "--objective", "mc", "--count", "5"]
+    if stop == "guard":
+        monkeypatch.setenv("FLG_GUARD", "2")  # the 3 candidates exceed it
+    else:
+        real = cli.iter_sweep
+
+        def two_rows_then_guard(*args):
+            rows = real(*args)
+            yield next(rows)
+            yield next(rows)
+            raise GuardExceeded("stopped after two rows")
+
+        monkeypatch.setattr(cli, "iter_sweep", two_rows_then_guard)
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard exceeded: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # replay
 
@@ -510,6 +539,37 @@ def test_python_m_output_is_the_same_bytes_under_any_hash_seed(capsys):
             )
             assert done.returncode == EXIT_OK, done.stderr
             assert done.stdout == expected, (argv, seed)
+
+
+def test_package_runs_on_the_standard_library_alone(capsys):
+    """Under `python -I -S` (no site-packages, no PYTHON* variables) with
+    only src added to sys.path, flgames and its CLI import and solve the
+    golden instance; hypothesis is not importable there, so the
+    isolation is real."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "try:\n"
+        "    import hypothesis\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('hypothesis is importable')\n"
+        "import flgames\n"
+        "import flgames.cli\n"
+        "sys.exit(flgames.cli.main(['solve', sys.argv[2], '--objective', 'mc']))\n"
+    )
+    argv = ["solve", str(GOLDEN), "--objective", "mc"]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out.encode()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, src, str(GOLDEN)],
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == expected
 
 
 def test_exit_parse_on_nonpositive_guard(tmp_path, capsys, monkeypatch):

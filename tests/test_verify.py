@@ -39,7 +39,6 @@ from flgames.verify import (
     joint_misreport_count,
     misreport_set,
     replay_lower_bound,
-    sweep,
 )
 
 LB_BASE = build_paper_instance(PaperConstruction("single-lb-I", eps=F(1, 10)))
@@ -461,42 +460,27 @@ def test_sweep_rows_are_deterministic():
     assert first == second
 
 
-def test_sweep_report_shape_and_bounds():
-    family = RandomFamily("line-uniform", n=3, m=3, seed=5)
-    report = sweep(family, LEFTMOST, "mc", 50)
-    assert report.count == 50
-    assert report.mechanism == "leftmost"
-    assert report.objective == "mc"
-    assert report.max_ratio >= 1
-    assert report.max_ratio <= 3  # proven bound for this rule
-    assert 0 <= report.argmax_index < 50
-    assert report.argmax_instance == random_line_instance(family, report.argmax_index)
-    assert sum(count for _, count in report.histogram) == 50
-    assert dict(report.histogram)["<1"] == 0
-    assert dict(report.histogram)["inf"] == 0
-
-
-def test_sweep_metric_family():
-    family = RandomFamily("metric-closure", n=3, m=2, seed=6)
-    report = sweep(family, dictator_spec(1), "mc", 25)
-    assert report.count == 25
-    assert 1 <= report.max_ratio <= 3
+@pytest.mark.parametrize(
+    "family, rule, objective, count, bound",
+    [
+        (RandomFamily("line-uniform", n=3, m=3, seed=5), LEFTMOST, "mc", 50, 3),
+        (RandomFamily("metric-closure", n=3, m=2, seed=6), dictator_spec(1), "mc", 25, 3),
+        (RandomFamily("line-uniform", n=4, m=3, k=2, seed=8), TWO_EXTREMES, "sc", 50, 2 * 4 - 3),
+    ],
+    ids=["line-leftmost-mc", "metric-dictator-mc", "line-two-extremes-sc"],
+)
+def test_sweep_rows_are_seeded_exact_and_within_bounds(family, rule, objective, count, bound):
+    rows = list(iter_sweep(family, rule, objective, count))
+    assert [row.index for row in rows] == list(range(count))
+    for row in rows:
+        assert row.instance == random_instance(family, row.index)
+        assert row.ratio == row.mechanism_cost / row.optimal_cost
+        assert 1 <= row.ratio <= bound  # proven bound for this rule
 
 
 def test_sweep_empty():
     family = RandomFamily("line-uniform", n=3, m=3, seed=5)
-    report = sweep(family, LEFTMOST, "mc", 0)
-    assert report.count == 0
-    assert report.max_ratio is None
-    assert report.argmax_index is None
-    assert report.argmax_instance is None
-    assert all(count == 0 for _, count in report.histogram)
-
-
-def test_sweep_two_extremes_social_cost():
-    family = RandomFamily("line-uniform", n=4, m=3, k=2, seed=8)
-    report = sweep(family, TWO_EXTREMES, "sc", 50)
-    assert 1 <= report.max_ratio <= 2 * 4 - 3
+    assert list(iter_sweep(family, LEFTMOST, "mc", 0)) == []
 
 
 # ---------------------------------------------------------------------------
