@@ -324,18 +324,16 @@ def cmd_sweep(args, guard: int) -> int:
 
 def cmd_replay(args, guard: int) -> int:
     mechanism = parse_mechanism(args.mechanism)
+    eps = _parse_exact(args.epsilon, "--epsilon")
     report = replay_lower_bound(
-        args.construction,
-        mechanism,
-        eps=_parse_exact(args.epsilon, "--epsilon"),
-        far=_parse_exact(args.L, "--L"),
+        args.construction, mechanism, eps=eps, far=_parse_exact(args.L, "--L")
     )
     payload = {
         "command": "replay",
-        "construction": report.construction,
-        "mechanism": report.mechanism,
+        "construction": args.construction,
+        "mechanism": mechanism.label(),
     }
-    put_scalar(payload, "epsilon", report.eps)
+    put_scalar(payload, "epsilon", eps)
     if report.far is not None:
         put_scalar(payload, "far", report.far)
     put_scalar(payload, "bound", report.bound)

@@ -38,11 +38,12 @@ def parse_scalar(value) -> Fraction:
 
     Accepts Fraction, int, or a string in decimal ("0.9") or rational
     ("9/10") form.  Floats are rejected: binary floating point cannot
-    represent most of these values exactly.
+    represent most of these values exactly.  So are bools, though they
+    are ints: True is a truth value, not the number 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

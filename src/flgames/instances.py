@@ -4,7 +4,7 @@ Two sources of instances:
 
   * exact parameterized constructions, used to replay the known
     lower-bound arguments and tight approximation examples at concrete
-    parameter values;
+    parameter values; one table defines them all, by name;
   * seeded random families (uniform line profiles, shortest-path metric
     closures closed once by core), used by the sweep and falsification.
 
@@ -25,23 +25,26 @@ from .core import FiniteMetric, Instance, line_instance, parse_scalar
 # exact ties occur with realistic frequency instead of never.
 GRID_DENOMINATOR = 10**6
 
-SINGLE_LB_BASE = "single-lb-I"
-SINGLE_LB_SHIFTED = "single-lb-I-prime"
-TWO_LB_BASE = "two-lb-I"
-TWO_LB_SHIFTED = "two-lb-I-prime"
-WPV_REMARK = "wpv-remark"
-EXAMPLE_1 = "example-1"
-MEDIAN_CONTEXT = "median-context"
+# The only definition of each construction: its profile at (eps, far, n),
+# as (agents, candidates, k).  The -lb- pairs are a base profile and a
+# shifted profile differing only in agent 2's location (moved to 3).
+_CONSTRUCTIONS = {
+    "single-lb-I": lambda eps, far, n: ((1 - eps, 1 + eps), (0, 2), 1),
+    "single-lb-I-prime": lambda eps, far, n: ((1 - eps, Fraction(3)), (0, 2), 1),
+    "two-lb-I": lambda eps, far, n: ((1 - eps, 1 + eps, far), (0, 2, far), 2),
+    "two-lb-I-prime": lambda eps, far, n: ((1 - eps, Fraction(3), far), (0, 2, far), 2),
+    "wpv-remark": lambda eps, far, n: ((1, 3), (eps, 2, 4 - eps), 1),
+    "example-1": lambda eps, far, n: (
+        (Fraction(1),) + (Fraction(4, 3),) * (n - 2) + (Fraction(2),),
+        (Fraction(2, 3) + eps, Fraction(4, 3), Fraction(2)),
+        2,
+    ),
+    # a small odd profile where the median agent sits between candidates
+    # at very different distances
+    "median-context": lambda eps, far, n: ((0, 1, 10), (0, 9), 1),
+}
 
-CONSTRUCTION_NAMES = (
-    SINGLE_LB_BASE,
-    SINGLE_LB_SHIFTED,
-    TWO_LB_BASE,
-    TWO_LB_SHIFTED,
-    WPV_REMARK,
-    EXAMPLE_1,
-    MEDIAN_CONTEXT,
-)
+CONSTRUCTION_NAMES = tuple(_CONSTRUCTIONS)
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,9 @@ class PaperConstruction:
             raise ValueError(f"unknown construction {self.name!r}")
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
-        if self.name in (TWO_LB_BASE, TWO_LB_SHIFTED) and self.far <= 10:
+        if self.name.startswith("two-lb-") and self.far <= 10:
             raise ValueError(f"far point must exceed 10, got {self.far}")
-        if self.name == EXAMPLE_1:
+        if self.name == "example-1":
             if self.n < 3:
                 raise ValueError(f"example-1 needs n >= 3, got {self.n}")
             if self.eps >= Fraction(1, 3):
@@ -78,29 +81,11 @@ class PaperConstruction:
 def build_paper_instance(construction: PaperConstruction) -> Instance:
     """Materialize a named construction as an exact line instance.
 
-    The -lb- pairs are a base profile and a shifted profile differing
-    only in agent 2's location (moved to 3); replaying a bound runs a
-    mechanism on both and checks the implied misreport.
+    Replaying an -lb- bound runs a mechanism on its base and shifted
+    profiles and checks the implied misreport of agent 2.
     """
-    eps, far, n = construction.eps, construction.far, construction.n
-    name = construction.name
-    if name == SINGLE_LB_BASE:
-        return line_instance((1 - eps, 1 + eps), (0, 2), k=1)
-    if name == SINGLE_LB_SHIFTED:
-        return line_instance((1 - eps, Fraction(3)), (0, 2), k=1)
-    if name == TWO_LB_BASE:
-        return line_instance((1 - eps, 1 + eps, far), (0, 2, far), k=2)
-    if name == TWO_LB_SHIFTED:
-        return line_instance((1 - eps, Fraction(3), far), (0, 2, far), k=2)
-    if name == WPV_REMARK:
-        return line_instance((1, 3), (eps, 2, 4 - eps), k=1)
-    if name == EXAMPLE_1:
-        third = Fraction(4, 3)
-        agents = (Fraction(1),) + (third,) * (n - 2) + (Fraction(2),)
-        return line_instance(agents, (Fraction(2, 3) + eps, third, Fraction(2)), k=2)
-    # median-context: a small odd profile where the median agent sits
-    # between candidates at very different distances.
-    return line_instance((0, 1, 10), (0, 9), k=1)
+    c = construction
+    return line_instance(*_CONSTRUCTIONS[c.name](c.eps, c.far, c.n))
 
 
 # ---------------------------------------------------------------------------

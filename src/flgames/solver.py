@@ -71,21 +71,26 @@ class OptResult:
     all_best: tuple[Deterministic, ...]
 
 
-def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> OptResult:
-    """Minimize the objective over all multisets of k candidates.
-
-    Raises GuardExceeded if the comb(m + k - 1, k) multisets it would
-    enumerate exceed the guard.
-    """
-    validate_objective(objective)
+def candidate_multisets(instance: Instance, guard: int = DEFAULT_GUARD):
+    """Every multiset of k candidate indices, as a sorted tuple, in
+    lexicographic order.  Raises GuardExceeded, before building any, if
+    their number comb(m + k - 1, k) exceeds the guard."""
     m, k = instance.m, instance.k
     count = comb(m + k - 1, k)
     if count > guard:
         raise GuardExceeded(f"{count} candidate multisets exceed the guard of {guard}")
+    return itertools.combinations_with_replacement(range(1, m + 1), k)
+
+
+def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> OptResult:
+    """Minimize the objective over all multisets of k candidates
+    (candidate_multisets, under the guard)."""
+    validate_objective(objective)
+    selections = candidate_multisets(instance, guard)
     columns = tuple(zip(*distance_rows(instance)))
     best_value = None
     argmins: list[tuple[int, ...]] = []
-    for selection in itertools.combinations_with_replacement(range(1, m + 1), k):
+    for selection in selections:
         value = selection_cost(columns, selection, objective)
         if best_value is None or value < best_value:
             best_value = value

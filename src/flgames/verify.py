@@ -43,10 +43,9 @@ difference, sum and order comparison.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Optional
 
 from .core import (
@@ -62,17 +61,16 @@ from .core import (
     scale_to_integers,
     validate_objective,
 )
-from .instances import (
-    SINGLE_LB_BASE,
-    SINGLE_LB_SHIFTED,
-    TWO_LB_BASE,
-    TWO_LB_SHIFTED,
-    PaperConstruction,
-    RandomFamily,
-    build_paper_instance,
-    random_instance,
+from .instances import PaperConstruction, RandomFamily, build_paper_instance, random_instance
+from .solver import (
+    DEFAULT_GUARD,
+    GuardExceeded,
+    Ratio,
+    candidate_multisets,
+    optimal,
+    ratio,
+    ratio_of,
 )
-from .solver import DEFAULT_GUARD, GuardExceeded, Ratio, optimal, ratio_of
 
 DEFAULT_GRID_POINTS = 41
 
@@ -183,7 +181,8 @@ def find_group_deviation(
     but its own true location, which the misreports must hold (else
     ValueError).  Raises GuardExceeded if the total number of joint
     reports to try, joint_misreport_count(n, len(misreports) - 1,
-    max_coalition), exceeds the guard.
+    max_coalition), exceeds the guard, and then, for a deterministic
+    rule, if the candidate multisets the cut enumerates do.
 
     Costs are read off one table of the true agents' distances to the
     candidates, as ints over one common denominator; Fractions are built
@@ -236,9 +235,7 @@ def find_group_deviation(
     base_costs = [row_cost(row, truthful) for row in table]
     deterministic = isinstance(truthful, Deterministic)
     if deterministic:
-        selections = list(
-            itertools.combinations_with_replacement(range(1, instance.m + 1), instance.k)
-        )
+        selections = list(candidate_multisets(instance, guard))
         # per agent, the sorted selections that would strictly lower its cost
         gains = [
             {sel for sel in selections if min(row[j - 1] for j in sel) < cost}
@@ -303,23 +300,20 @@ def find_unilateral_deviation(
 # anonymity
 
 
-def check_anonymity(
-    instance: Instance, mechanism, trials: int = 200, seed: int = 0
-) -> Optional[tuple[int, ...]]:
-    """Permutation of the agent profile that changes the outcome, or None.
+def check_anonymity(instance: Instance, mechanism) -> Optional[tuple[int, ...]]:
+    """First permutation of the agent profile, in lexicographic order,
+    that changes the outcome, or None.
 
-    Exhaustive over all n! permutations for n <= 6, otherwise `trials`
-    seeded random permutations.
+    Exhaustive over all n! permutations.  Raises GuardExceeded, before
+    calling the rule, if n! exceeds DEFAULT_GUARD.
     """
-    truthful = mechanism.apply(instance)
     n = instance.n
-    if n <= 6:
-        perms = itertools.permutations(range(1, n + 1))
-    else:
-        rng = random.Random(f"anonymity:{seed}")
-        perms = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(trials))
+    count = factorial(n)
+    if count > DEFAULT_GUARD:
+        raise GuardExceeded(f"{count} agent permutations exceed the guard of {DEFAULT_GUARD}")
+    truthful = mechanism.apply(instance)
     identity = tuple(range(1, n + 1))
-    for perm in perms:
+    for perm in itertools.permutations(identity):
         if perm == identity:
             continue
         if mechanism.apply(permute_agents(instance, perm)) != truthful:
@@ -364,10 +358,10 @@ def iter_sweep(
 
 
 _REPLAY_TABLE = {
-    "single-deterministic": (SINGLE_LB_BASE, SINGLE_LB_SHIFTED, Fraction(3)),
-    "single-randomized": (SINGLE_LB_BASE, SINGLE_LB_SHIFTED, Fraction(2)),
-    "two-deterministic": (TWO_LB_BASE, TWO_LB_SHIFTED, Fraction(3)),
-    "two-randomized": (TWO_LB_BASE, TWO_LB_SHIFTED, Fraction(2)),
+    "single-deterministic": ("single-lb-I", "single-lb-I-prime", Fraction(3)),
+    "single-randomized": ("single-lb-I", "single-lb-I-prime", Fraction(2)),
+    "two-deterministic": ("two-lb-I", "two-lb-I-prime", Fraction(3)),
+    "two-randomized": ("two-lb-I", "two-lb-I-prime", Fraction(2)),
 }
 REPLAY_CONSTRUCTIONS = tuple(_REPLAY_TABLE)
 
@@ -390,9 +384,6 @@ class ReplayReport:
     finite far point used instead of asserting it is 0.
     """
 
-    construction: str
-    mechanism: str
-    eps: Fraction
     far: Optional[Fraction]
     bound: Fraction
     instance_base: Instance
@@ -439,10 +430,8 @@ def replay_lower_bound(
     shifted = build_paper_instance(PaperConstruction(shifted_name, eps=eps, far=far))
     outcome_base = mechanism.apply(base)
     outcome_shifted = mechanism.apply(shifted)
-    ratio_base = ratio_of(outcome_cost(base, outcome_base, "mc"), optimal(base, "mc").value)
-    ratio_shifted = ratio_of(
-        outcome_cost(shifted, outcome_shifted, "mc"), optimal(shifted, "mc").value
-    )
+    ratio_base = ratio(base, mechanism, "mc")
+    ratio_shifted = ratio(shifted, mechanism, "mc")
     # agent 2's lie: with everyone else truthful, reporting 3 turns the
     # base profile into the shifted one
     cost_truthful = outcome_agent_cost(base, outcome_base, 2)
@@ -450,9 +439,6 @@ def replay_lower_bound(
     margin = cost_truthful - cost_misreport
     beats = ratio_shifted < bound
     return ReplayReport(
-        construction=construction,
-        mechanism=mechanism.label(),
-        eps=params.eps,
         far=params.far if two_facility else None,
         bound=bound,
         instance_base=base,

@@ -22,7 +22,7 @@ from flgames.cli import (
 )
 from flgames.core import line_instance, metric_instance
 from flgames.instances import PaperConstruction, build_paper_instance
-from flgames.mechanisms import LEFTMOST
+from flgames.mechanisms import LEFTMOST, TWO_EXTREMES
 from flgames.solver import INFINITE_RATIO, GuardExceeded
 
 GOLDEN = Path(__file__).parent / "data" / "golden_line_n5_m4_seed42_idx3.json"
@@ -394,6 +394,99 @@ def test_replay_two_facility_reports_far_mass(capsys):
     assert payload["sp_violation"] is False
 
 
+REPLAY_PAYLOADS = {
+    ("two-randomized", "two-extremes"): {
+        "command": "replay",
+        "construction": "two-randomized",
+        "mechanism": "two-extremes",
+        "epsilon": "1/10",
+        "epsilon_decimal": "0.1",
+        "far": "1000",
+        "far_decimal": "1000",
+        "bound": "2",
+        "bound_decimal": "2",
+        "outcome_base": {"type": "deterministic", "selection": [1, 3], "locations": ["0", "1000"]},
+        "outcome_shifted": {
+            "type": "deterministic",
+            "selection": [1, 3],
+            "locations": ["0", "1000"],
+        },
+        "ratio_base": "1",
+        "ratio_base_decimal": "1",
+        "ratio_shifted": "30/11",
+        "ratio_shifted_decimal": "2.727272727272",
+        "beats_bound": False,
+        "manipulation": {
+            "agent": 2,
+            "misreport": "3",
+            "cost_truthful": "11/10",
+            "cost_truthful_decimal": "1.1",
+            "cost_misreport": "11/10",
+            "cost_misreport_decimal": "1.1",
+            "margin": "0",
+            "margin_decimal": "0",
+        },
+        "sp_violation": False,
+        "far_missing_base": "0",
+        "far_missing_base_decimal": "0",
+        "far_missing_shifted": "0",
+        "far_missing_shifted_decimal": "0",
+    },
+    ("single-randomized", "rd"): {
+        "command": "replay",
+        "construction": "single-randomized",
+        "mechanism": "rd",
+        "epsilon": "1/10",
+        "epsilon_decimal": "0.1",
+        "bound": "2",
+        "bound_decimal": "2",
+        "outcome_base": {
+            "type": "randomized",
+            "support": [
+                {"selection": [1], "locations": ["0"], "probability": "1/2",
+                 "probability_decimal": "0.5"},
+                {"selection": [2], "locations": ["2"], "probability": "1/2",
+                 "probability_decimal": "0.5"},
+            ],
+        },
+        "outcome_shifted": {
+            "type": "randomized",
+            "support": [
+                {"selection": [1], "locations": ["0"], "probability": "1/2",
+                 "probability_decimal": "0.5"},
+                {"selection": [2], "locations": ["2"], "probability": "1/2",
+                 "probability_decimal": "0.5"},
+            ],
+        },
+        "ratio_base": "1",
+        "ratio_base_decimal": "1",
+        "ratio_shifted": "41/22",
+        "ratio_shifted_decimal": "1.863636363636",
+        "beats_bound": True,
+        "manipulation": {
+            "agent": 2,
+            "misreport": "3",
+            "cost_truthful": "1",
+            "cost_truthful_decimal": "1",
+            "cost_misreport": "1",
+            "cost_misreport_decimal": "1",
+            "margin": "0",
+            "margin_decimal": "0",
+        },
+        "sp_violation": False,
+    },
+}
+
+
+@pytest.mark.parametrize("construction, mechanism", list(REPLAY_PAYLOADS))
+def test_replay_prints_the_whole_payload(capsys, construction, mechanism):
+    """Every key, in order, and every value, nested ones included."""
+    argv = ["replay", "--construction", construction, "--mechanism", mechanism, "--epsilon", "1/10"]
+    assert main(argv) == EXIT_OK
+    expected = REPLAY_PAYLOADS[construction, mechanism]
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -514,6 +607,29 @@ def test_verify_refuses_a_coalition_grid_past_the_guard_before_building_it(capsy
             instance, LEFTMOST, max_coalition=2, grid_points=200000, guard=10**6
         )
     assert scaled == []
+
+
+def test_verify_refuses_a_cut_past_the_guard(tmp_path, capsys, monkeypatch):
+    """The deterministic cut enumerates comb(m + k - 1, k) candidate
+    multisets under the same guard as the exact optimum."""
+    obj = {
+        "space": "line",
+        "agents": ["1/3", "2/3"],
+        "candidates": [f"{j}/50" for j in range(50)],
+        "k": 2,
+    }
+    path = write_instance(tmp_path, obj)
+    monkeypatch.setenv("FLG_GUARD", "1000")
+    # 2 * 54 = 108 joint reports are within the guard, comb(51, 2) = 1275
+    # multisets are not
+    assert main(["verify", path, "--mechanism", "two-extremes", "--grid", "3"]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "guard exceeded: 1275 candidate multisets exceed the guard of 1000\n"
+    with pytest.raises(GuardExceeded, match="^1275 candidate multisets exceed the guard of 1000$"):
+        verify.find_group_deviation(
+            instance_from_json(obj), TWO_EXTREMES, grid_points=3, guard=1000
+        )
 
 
 def test_python_m_output_is_the_same_bytes_under_any_hash_seed(capsys):

@@ -19,6 +19,7 @@ from flgames.core import (
     permute_agents,
     point_mass,
 )
+from flgames.mechanisms import wpv_spec
 
 EPS = F(1, 10)
 LB_BASE = line_instance((1 - EPS, 1 + EPS), (0, 2), k=1)
@@ -35,6 +36,13 @@ def test_parse_scalar_exact_forms():
 def test_parse_scalar_rejects_floats_and_junk():
     with pytest.raises(TypeError):
         parse_scalar(0.9)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            parse_scalar(flag)
+    with pytest.raises(TypeError):
+        line_instance((True, 2), (0,))
+    with pytest.raises(TypeError):
+        wpv_spec((True, False))
     with pytest.raises(ValueError):
         parse_scalar("not a number")
     with pytest.raises(ValueError):

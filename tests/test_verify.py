@@ -440,8 +440,23 @@ def test_anonymity_violation_of_dictatorship():
 def test_anonymity_sampled_for_larger_profiles():
     inst = line_instance((0, 1, 2, 3, 4, 5, 6), (0, 6), k=1)
     assert inst.n == 7
-    assert check_anonymity(inst, LEFTMOST, trials=50, seed=3) is None
-    assert check_anonymity(inst, dictator_spec(1), trials=50, seed=3) is not None
+    assert check_anonymity(inst, LEFTMOST) is None
+    assert check_anonymity(inst, dictator_spec(1)) == (5, 1, 2, 3, 4, 6, 7)
+
+
+def test_anonymity_refuses_more_permutations_than_the_guard():
+    """11! exceeds the default guard, so the rule is never called."""
+    calls = []
+
+    class Counting:
+        def apply(self, instance):
+            calls.append(instance)
+            return LEFTMOST.apply(instance)
+
+    inst = line_instance(range(11), (0, 10), k=1)
+    with pytest.raises(GuardExceeded, match="^39916800 agent permutations exceed the guard of 10000000$"):
+        check_anonymity(inst, Counting())
+    assert calls == []
 
 
 def test_single_agent_trivially_anonymous():
