@@ -19,14 +19,13 @@ from .core import (
 )
 from .instances import (
     CONSTRUCTION_NAMES,
+    FAMILY_KINDS,
     GRID_DENOMINATOR,
     PaperConstruction,
     RandomFamily,
     build_paper_instance,
     metric_closure,
     random_instance,
-    random_line_instance,
-    random_metric_instance,
 )
 from .mechanisms import (
     LEFTMOST,

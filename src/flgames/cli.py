@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    OBJECTIVES,
     Deterministic,
     Instance,
     Line,
@@ -30,7 +31,7 @@ from .core import (
     outcome_cost,
     parse_scalar,
 )
-from .instances import RandomFamily
+from .instances import FAMILY_KINDS, RandomFamily
 from .mechanisms import MechanismMismatch, parse_mechanism
 from .solver import DEFAULT_GUARD, GuardExceeded, optimal, ratio_of
 from .verify import (
@@ -234,7 +235,7 @@ def cmd_run(args, guard: int) -> int:
         "mechanism": mechanism.label(),
         "outcome": outcome_json(instance, outcome),
     }
-    for objective in ("sc", "mc"):
+    for objective in OBJECTIVES:
         cost = outcome_cost(instance, outcome, objective)
         opt = optimal(instance, objective, guard).value
         put_scalar(payload, f"cost_{objective}", cost)
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="exact optimum of an instance file")
     solve.add_argument("instance")
-    solve.add_argument("--objective", choices=("sc", "mc"), required=True)
+    solve.add_argument("--objective", choices=OBJECTIVES, required=True)
     solve.set_defaults(handler=cmd_solve)
 
     run = sub.add_parser("run", help="run a mechanism on an instance file")
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="ratio sweep over a random family (CSV)")
-    sweep.add_argument("--family", choices=("line-uniform", "metric-closure"), required=True)
+    sweep.add_argument("--family", choices=FAMILY_KINDS, required=True)
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--m", type=int, required=True)
     sweep.add_argument("--k", type=int, default=1)
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--low", default="0")
     sweep.add_argument("--high", default="1")
     sweep.add_argument("--mechanism", required=True)
-    sweep.add_argument("--objective", choices=("sc", "mc"), required=True)
+    sweep.add_argument("--objective", choices=OBJECTIVES, required=True)
     sweep.add_argument("--count", type=int, required=True)
     sweep.add_argument("--out")
     sweep.set_defaults(handler=cmd_sweep)

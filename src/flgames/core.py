@@ -227,7 +227,7 @@ class Instance:
             raise ValueError("an instance needs at least one agent")
         if not candidates:
             raise ValueError("an instance needs at least one candidate")
-        if self.k not in (1, 2):
+        if type(self.k) is not int or self.k not in (1, 2):
             raise ValueError(f"facility count must be 1 or 2, got {self.k}")
 
     @property

@@ -6,7 +6,9 @@ Two sources of instances:
     lower-bound arguments and tight approximation examples at concrete
     parameter values; one table defines them all, by name;
   * seeded random families (uniform line profiles, shortest-path metric
-    closures closed once by core), used by the sweep and falsification.
+    closures closed once by core), used by the sweep and falsification;
+    one table defines them all, by kind, and FAMILY_KINDS names the
+    kinds.  random_instance is the only draw.
 
 Random instances are deterministic in (seed, index): the same pair
 always yields the same instance, independent of call order, so sweep
@@ -18,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import FiniteMetric, Instance, line_instance, parse_scalar
 
@@ -72,7 +75,7 @@ class PaperConstruction:
         if self.name.startswith("two-lb-") and self.far <= 10:
             raise ValueError(f"far point must exceed 10, got {self.far}")
         if self.name == "example-1":
-            if self.n < 3:
+            if type(self.n) is not int or self.n < 3:
                 raise ValueError(f"example-1 needs n >= 3, got {self.n}")
             if self.eps >= Fraction(1, 3):
                 raise ValueError(f"example-1 needs eps < 1/3, got {self.eps}")
@@ -94,14 +97,10 @@ def build_paper_instance(construction: PaperConstruction) -> Instance:
 
 @dataclass(frozen=True)
 class RandomFamily:
-    """A seeded distribution over instances.
-
-    kind "line-uniform": n agents and m candidates drawn uniformly from
-    the grid points of [low, high] on the line.
-
-    kind "metric-closure": a symmetric matrix of uniform grid weights
-    over n+m points, closed under shortest paths; agents are points
-    1..n, candidates are points n+1..n+m.
+    """A seeded distribution over instances: n agents, m candidates and
+    k facilities, every coordinate or edge weight drawn uniformly from
+    the grid points of [low, high].  kind names one of FAMILY_KINDS;
+    its builder in the table below says what is drawn.
     """
 
     kind: str
@@ -115,12 +114,14 @@ class RandomFamily:
     def __post_init__(self):
         object.__setattr__(self, "low", parse_scalar(self.low))
         object.__setattr__(self, "high", parse_scalar(self.high))
-        if self.kind not in ("line-uniform", "metric-closure"):
+        if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.n < 1 or self.m < 1:
+        if type(self.n) is not int or type(self.m) is not int or self.n < 1 or self.m < 1:
             raise ValueError("need at least one agent and one candidate")
-        if self.k not in (1, 2):
+        if type(self.k) is not int or self.k not in (1, 2):
             raise ValueError(f"facility count must be 1 or 2, got {self.k}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.low < self.high:
             raise ValueError(f"empty range [{self.low}, {self.high}]")
 
@@ -149,14 +150,10 @@ def _grid_draw(rng: random.Random, low: Fraction, high: Fraction) -> Fraction:
     return low + Fraction(_uniform_int(rng, steps + 1), GRID_DENOMINATOR)
 
 
-def random_line_instance(family: RandomFamily, index: int) -> Instance:
-    """Instance number `index` of a line-uniform family (agents drawn
-    first, then candidates)."""
-    if family.kind != "line-uniform":
-        raise ValueError(f"not a line family: {family.kind!r}")
-    rng = _stream(family, index)
-    agents = tuple(_grid_draw(rng, family.low, family.high) for _ in range(family.n))
-    candidates = tuple(_grid_draw(rng, family.low, family.high) for _ in range(family.m))
+def _line_family(family: RandomFamily, draw) -> Instance:
+    """n agents, then m candidates, each a point of the line."""
+    agents = tuple(draw() for _ in range(family.n))
+    candidates = tuple(draw() for _ in range(family.m))
     return line_instance(agents, candidates, family.k)
 
 
@@ -166,23 +163,31 @@ def metric_closure(matrix) -> tuple[tuple[Fraction, ...], ...]:
     return FiniteMetric._closure(matrix).matrix
 
 
-def random_metric_instance(family: RandomFamily, index: int) -> Instance:
-    """Instance number `index` of a metric-closure family (upper-triangle
-    weights drawn row by row)."""
-    if family.kind != "metric-closure":
-        raise ValueError(f"not a metric family: {family.kind!r}")
-    rng = _stream(family, index)
+def _metric_family(family: RandomFamily, draw) -> Instance:
+    """A symmetric matrix of weights over n+m points, upper triangle
+    drawn row by row, closed under shortest paths; agents are points
+    1..n, candidates are points n+1..n+m."""
     p = family.n + family.m
     raw = [[Fraction(0)] * p for _ in range(p)]
     for i in range(p):
         for j in range(i + 1, p):
-            raw[i][j] = raw[j][i] = _grid_draw(rng, family.low, family.high)
+            raw[i][j] = raw[j][i] = draw()
     agents = tuple(range(1, family.n + 1))
     candidates = tuple(range(family.n + 1, p + 1))
     return Instance(FiniteMetric._closure(raw), agents, candidates, family.k)
 
 
+# The only definition of each family kind: its builder, called with the
+# family and a draw() of the stream's next grid coordinate.
+_FAMILIES = {
+    "line-uniform": _line_family,
+    "metric-closure": _metric_family,
+}
+
+FAMILY_KINDS = tuple(_FAMILIES)
+
+
 def random_instance(family: RandomFamily, index: int) -> Instance:
-    if family.kind == "line-uniform":
-        return random_line_instance(family, index)
-    return random_metric_instance(family, index)
+    """Instance number `index` of the family, built by its kind's builder."""
+    draw = partial(_grid_draw, _stream(family, index), family.low, family.high)
+    return _FAMILIES[family.kind](family, draw)

@@ -168,7 +168,7 @@ class MechanismSpec:
         if self.kind not in RULES:
             raise MechanismMismatch(f"unknown mechanism {self.kind!r}")
         if self.kind == "dictator":
-            if self.dictator is None or self.dictator < 1:
+            if type(self.dictator) is not int or self.dictator < 1:
                 raise MechanismMismatch("dictator needs a 1-based agent index")
         elif self.kind == "wpv":
             if not self.weights:

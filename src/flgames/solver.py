@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import comb
 from typing import Union
 
@@ -25,6 +26,7 @@ class GuardExceeded(RuntimeError):
     """An enumeration would exceed its configured budget."""
 
 
+@total_ordering
 class _InfiniteRatio:
     """Marker for cost > 0 against an optimum of 0.  Compares greater
     than every Fraction and equal only to itself."""
@@ -36,15 +38,6 @@ class _InfiniteRatio:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return isinstance(other, _InfiniteRatio)
-
-    def __gt__(self, other):
-        return not isinstance(other, _InfiniteRatio)
-
-    def __ge__(self, other):
-        return True
 
     def __hash__(self):
         return hash("flgames-infinite-ratio")

@@ -287,13 +287,10 @@ def find_unilateral_deviation(
     instance: Instance,
     mechanism,
     misreports: Optional[tuple] = None,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> Optional[DeviationWitness]:
     """First strictly profitable single-agent misreport in scan order,
-    or None: the size-1 group search, under the same default guard."""
-    return find_group_deviation(
-        instance, mechanism, misreports, max_coalition=1, grid_points=grid_points
-    )
+    or None: the size-1 group search, under the default grid and guard."""
+    return find_group_deviation(instance, mechanism, misreports, max_coalition=1)
 
 
 # ---------------------------------------------------------------------------

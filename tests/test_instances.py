@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flgames.core import FiniteMetric, Line
+from flgames.core import FiniteMetric, Line, line_instance
 from flgames.instances import (
     CONSTRUCTION_NAMES,
+    FAMILY_KINDS,
     PaperConstruction,
     RandomFamily,
     build_paper_instance,
     metric_closure,
-    random_line_instance,
-    random_metric_instance,
+    random_instance,
 )
+from flgames.mechanisms import dictator_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,26 +100,35 @@ def test_every_construction_builds():
 
 def test_line_family_deterministic_in_seed_and_index():
     fam = RandomFamily("line-uniform", n=5, m=4, seed=42)
-    a = random_line_instance(fam, 3)
-    b = random_line_instance(fam, 3)
+    a = random_instance(fam, 3)
+    b = random_instance(fam, 3)
     assert a == b
-    assert any(random_line_instance(fam, i) != a for i in (0, 1, 2, 4))
+    assert any(random_instance(fam, i) != a for i in (0, 1, 2, 4))
     other_seed = RandomFamily("line-uniform", n=5, m=4, seed=43)
-    assert random_line_instance(other_seed, 3) != a
+    assert random_instance(other_seed, 3) != a
 
 
 def test_line_family_golden_snapshot():
     from flgames.cli import instance_to_json
 
     fam = RandomFamily("line-uniform", n=5, m=4, seed=42)
-    inst = random_line_instance(fam, 3)
+    inst = random_instance(fam, 3)
     golden = json.loads((DATA / "golden_line_n5_m4_seed42_idx3.json").read_text())
+    assert instance_to_json(inst) == golden
+
+
+def test_metric_family_golden_snapshot():
+    from flgames.cli import instance_to_json
+
+    fam = RandomFamily("metric-closure", n=3, m=2, seed=11, k=2)
+    inst = random_instance(fam, 5)
+    golden = json.loads((DATA / "golden_metric_n3_m2_seed11_idx5.json").read_text())
     assert instance_to_json(inst) == golden
 
 
 def test_line_family_range_and_grid():
     fam = RandomFamily("line-uniform", n=6, m=3, seed=9, low=F(2), high=F(5, 2))
-    inst = random_line_instance(fam, 0)
+    inst = random_instance(fam, 0)
     assert isinstance(inst.space, Line)
     for x in inst.agents + inst.candidates:
         assert F(2) <= x <= F(5, 2)
@@ -126,25 +136,47 @@ def test_line_family_range_and_grid():
 
 
 def test_family_validation():
-    with pytest.raises(ValueError):
+    assert FAMILY_KINDS == ("line-uniform", "metric-closure")
+    with pytest.raises(ValueError, match="unknown family kind 'triangle-soup'"):
         RandomFamily("triangle-soup", n=2, m=2)
     with pytest.raises(ValueError):
         RandomFamily("line-uniform", n=0, m=2)
     with pytest.raises(ValueError):
         RandomFamily("line-uniform", n=2, m=2, low=F(1), high=F(1))
+
+
+@pytest.mark.parametrize(
+    "build, good, bad",
+    [
+        pytest.param(lambda v: RandomFamily("line-uniform", 3, 2, seed=v), 1, True, id="seed-bool"),
+        pytest.param(lambda v: RandomFamily("line-uniform", 3, 2, seed=v), 1, 1.0, id="seed-float"),
+        pytest.param(lambda v: RandomFamily("line-uniform", v, 2), 1, True, id="n-bool"),
+        pytest.param(lambda v: RandomFamily("line-uniform", v, 2), 3, 3.0, id="n-float"),
+        pytest.param(lambda v: RandomFamily("line-uniform", 3, v), 2, 2.0, id="m-float"),
+        pytest.param(lambda v: RandomFamily("line-uniform", 3, 2, k=v), 1, True, id="k-bool"),
+        pytest.param(lambda v: RandomFamily("line-uniform", 3, 2, k=v), 1, 1.0, id="k-float"),
+        pytest.param(dictator_spec, 1, True, id="dictator-bool"),
+        pytest.param(dictator_spec, 1, 1.0, id="dictator-float"),
+        pytest.param(lambda v: line_instance((0, 1), (0, 1), k=v), 1, True, id="instance-k-bool"),
+        pytest.param(lambda v: line_instance((0, 1), (0, 1), k=v), 2, 2.0, id="instance-k-float"),
+        pytest.param(lambda v: PaperConstruction("example-1", n=v), 3, 3.0, id="example-1-n-float"),
+    ],
+)
+def test_integer_parameters_refuse_bool_and_float(build, good, bad):
+    build(good)
     with pytest.raises(ValueError):
-        random_metric_instance(RandomFamily("line-uniform", n=2, m=2), 0)
+        build(bad)
 
 
 def test_metric_family_points_split():
     fam = RandomFamily("metric-closure", n=3, m=2, seed=11, k=2)
-    inst = random_metric_instance(fam, 5)
+    inst = random_instance(fam, 5)
     assert isinstance(inst.space, FiniteMetric)
     assert inst.space.size == 5
     assert inst.agents == (1, 2, 3)
     assert inst.candidates == (4, 5)
     assert inst.k == 2
-    assert inst == random_metric_instance(fam, 5)
+    assert inst == random_instance(fam, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,12 @@ def test_infinite_ratio_ordering():
     assert F(10**9) < INFINITE_RATIO
     assert INFINITE_RATIO == INFINITE_RATIO
     assert max(F(3), INFINITE_RATIO) == INFINITE_RATIO
+    assert F(10**9) <= INFINITE_RATIO
+    assert INFINITE_RATIO >= F(10**9)
+    assert not INFINITE_RATIO <= F(10**9)
+    assert INFINITE_RATIO <= INFINITE_RATIO
+    assert not INFINITE_RATIO > INFINITE_RATIO
+    assert sorted([INFINITE_RATIO, F(2), F(1)]) == [F(1), F(2), INFINITE_RATIO]
 
 
 def test_infinite_ratio_prints_as_inf():

@@ -17,7 +17,6 @@ from flgames.instances import (
     RandomFamily,
     build_paper_instance,
     random_instance,
-    random_line_instance,
 )
 from flgames.mechanisms import (
     LEFTMOST,
@@ -151,7 +150,7 @@ def test_pair_trap_needs_a_coalition():
 def test_group_clean_for_group_strategyproof_rules():
     family = RandomFamily("line-uniform", n=4, m=3, seed=77)
     for index in range(10):
-        inst = random_line_instance(family, index)
+        inst = random_instance(family, index)
         assert find_group_deviation(inst, LEFTMOST, max_coalition=3, grid_points=3) is None
         assert (
             find_group_deviation(inst, dictator_spec(1), max_coalition=3, grid_points=3)
