@@ -248,12 +248,9 @@ def cmd_run(args, guard: int) -> int:
 def cmd_verify(args, guard: int) -> int:
     instance = load_instance(args.instance)
     mechanism = parse_mechanism(args.mechanism)
-    points = misreport_set(instance, args.grid, guard, args.group_max)
-    witness = find_group_deviation(
-        instance, mechanism, misreports=points, max_coalition=args.group_max, guard=guard
-    )
+    witness = find_group_deviation(instance, mechanism, args.group_max, args.grid, guard)
     if witness is None:
-        tried = len(points) - 1
+        tried = len(misreport_set(instance, args.grid, guard, args.group_max)) - 1
         payload = {
             "command": "verify",
             "mechanism": mechanism.label(),

@@ -9,12 +9,12 @@ returned witness is an exact, replayable counterexample.
 
 One loop searches for misreports: unilateral search is the group search
 restricted to coalitions of size 1, under the same guard, just as
-strategyproofness is group strategyproofness for single agents.  The
-misreport set holds every agent's true location, so each agent tries
-|set| - 1 reports, and coalitions of up to s_max of the n agents try
-sum over s = 1..s_max of C(n, s) * (|set| - 1)**s joint reports
-(joint_misreport_count): the count the guard checks and `verify`
-reports as joint_misreports.
+strategyproofness is group strategyproofness for single agents.  It
+always searches misreport_set(instance, grid_points), which holds every
+agent's true location, so each agent tries |set| - 1 reports, and
+coalitions of up to s_max of the n agents try sum over s = 1..s_max of
+C(n, s) * (|set| - 1)**s joint reports (joint_misreport_count): the
+count the guard checks and `verify` reports as joint_misreports.
 
 Scan order is fixed so witnesses are reproducible: coalitions by size
 then lexicographic agent indices (so single agents ascending first),
@@ -83,8 +83,8 @@ def joint_misreport_count(n: int, tried: int, max_coalition: int) -> int:
     """Joint reports a search over coalitions of up to max_coalition of
     n agents tries when each agent tries `tried` reports: the sum over
     sizes s of comb(n, s) * tried**s.  Raises ValueError for a
-    max_coalition outside 1..n."""
-    if not 1 <= max_coalition <= n:
+    max_coalition that is not an int in 1..n."""
+    if type(max_coalition) is not int or not 1 <= max_coalition <= n:
         raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
     return sum(comb(n, s) * tried**s for s in range(1, max_coalition + 1))
 
@@ -109,7 +109,7 @@ def misreport_set(
     must refuse: the grid's points are distinct, so the search tries at
     least joint_misreport_count(n, grid_points - 1, max_coalition)
     joint reports."""
-    if grid_points < 0:
+    if type(grid_points) is not int or grid_points < 0:
         raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
     # counted on every space, so max_coalition's range is checked there too;
     # clamped at 0: for grid_points <= 1 a negative base would alternate in sign
@@ -166,7 +166,6 @@ def _choices(truthful: list[tuple], options: list[tuple], coalition: tuple) -> l
 def find_group_deviation(
     instance: Instance,
     mechanism,
-    misreports: Optional[tuple] = None,
     max_coalition: int = 1,
     grid_points: int = DEFAULT_GRID_POINTS,
     guard: int = DEFAULT_GUARD,
@@ -177,12 +176,14 @@ def find_group_deviation(
 
     Members reporting truthfully are not enumerated: a witness with an
     idle member implies a smaller-coalition witness, which the
-    size-ascending scan finds first.  Each agent tries every misreport
-    but its own true location, which the misreports must hold (else
-    ValueError).  Raises GuardExceeded if the total number of joint
-    reports to try, joint_misreport_count(n, len(misreports) - 1,
-    max_coalition), exceeds the guard, and then, for a deterministic
-    rule, if the candidate multisets the cut enumerates do.
+    size-ascending scan finds first.  The search always searches
+    misreport_set(instance, grid_points, guard, max_coalition), which
+    holds every agent's true location, and each agent tries every point
+    of it but its own.  Raises what misreport_set raises, then
+    GuardExceeded if the total number of joint reports to try,
+    joint_misreport_count(n, len(set) - 1, max_coalition), exceeds the
+    guard, and then, for a deterministic rule, if the candidate
+    multisets the cut enumerates do.
 
     Costs are read off one table of the true agents' distances to the
     candidates, as ints over one common denominator; Fractions are built
@@ -199,9 +200,7 @@ def find_group_deviation(
     is skipped.
     """
     n = instance.n
-    points = misreports
-    if points is None:
-        points = misreport_set(instance, grid_points, guard, max_coalition)
+    points = misreport_set(instance, grid_points, guard, max_coalition)
     total = joint_misreport_count(n, len(points) - 1, max_coalition)
     if total > guard:
         raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
@@ -219,14 +218,7 @@ def find_group_deviation(
         carried = itertools.repeat(candidate_ints), itertools.repeat(scale)
     else:
         own, among = instance.agents, points
-    cuts = []
-    for i, x in enumerate(own, 1):
-        try:
-            cuts.append(among.index(x))
-        except ValueError:
-            raise ValueError(
-                f"agent {i}'s true location {instance.agents[i - 1]} is not in the misreports"
-            ) from None
+    cuts = [among.index(x) for x in own]
     options = [points[:j] + points[j + 1 :] for j in cuts]
     if line:
         int_options = [point_ints[:j] + point_ints[j + 1 :] for j in cuts]
@@ -283,14 +275,10 @@ def find_group_deviation(
     return None
 
 
-def find_unilateral_deviation(
-    instance: Instance,
-    mechanism,
-    misreports: Optional[tuple] = None,
-) -> Optional[DeviationWitness]:
+def find_unilateral_deviation(instance: Instance, mechanism) -> Optional[DeviationWitness]:
     """First strictly profitable single-agent misreport in scan order,
     or None: the size-1 group search, under the default grid and guard."""
-    return find_group_deviation(instance, mechanism, misreports, max_coalition=1)
+    return find_group_deviation(instance, mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +329,7 @@ def iter_sweep(
     """Generate, run, and solve `count` instances of a family, yielding
     one SweepRow per instance."""
     validate_objective(objective)
-    if count < 0:
+    if type(count) is not int or count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     for index in range(count):
         inst = random_instance(family, index)

@@ -193,6 +193,19 @@ def test_verify_finds_the_strawman_witness(tmp_path, capsys):
             },
             id="line",
         ),
+        # a grid other than the default: the size is that of the set searched
+        pytest.param(
+            instance_to_json(LB_BASE),
+            ["--mechanism", "leftmost", "--grid", "9", "--group-max", "2"],
+            {
+                "agents": 2,
+                "grid_points": 9,
+                "misreports_per_agent": [12, 12],
+                "max_coalition": 2,
+                "joint_misreports": 168,
+            },
+            id="line-grid-9",
+        ),
         # a metric space searches its 3 points, whatever the grid: each
         # agent tries the 2 it does not sit on, so 2 + 2 + 2 * 2 joint reports
         pytest.param(

@@ -171,6 +171,33 @@ def test_group_search_guard_and_bounds():
             misreport_set(LB_BASE, grid_points=10**9, max_coalition=bound)
 
 
+def _search(max_coalition):
+    return find_group_deviation(LB_BASE, MEAN, max_coalition=max_coalition)
+
+
+def _sweep(count):
+    return list(iter_sweep(RandomFamily("line-uniform", 2, 2), LEFTMOST, "mc", count))
+
+
+@pytest.mark.parametrize(
+    "call, good, bad",
+    [
+        pytest.param(lambda v: misreport_set(LB_BASE, v), 3, True, id="grid-bool"),
+        pytest.param(lambda v: misreport_set(LB_BASE, v), 3, 2.5, id="grid-float"),
+        pytest.param(lambda v: joint_misreport_count(2, 3, v), 1, True, id="count-bool"),
+        pytest.param(lambda v: joint_misreport_count(2, 3, v), 1, 1.0, id="count-float"),
+        pytest.param(_search, 1, True, id="search-bool"),
+        pytest.param(_search, 1, 1.0, id="search-float"),
+        pytest.param(_sweep, 1, True, id="sweep-bool"),
+        pytest.param(_sweep, 2, 2.0, id="sweep-float"),
+    ],
+)
+def test_count_parameters_refuse_bool_and_float(call, good, bad):
+    call(good)
+    with pytest.raises(ValueError):
+        call(bad)
+
+
 # ---------------------------------------------------------------------------
 # differential: the one search loop against the two loops it replaced, kept
 # here as plain references on the validated instance path
@@ -332,11 +359,11 @@ def search_cases(draw):
 def test_one_search_loop_matches_both_reference_loops(case, max_coalition, grid_points):
     mechanism, instance = case
     misreports = misreport_set(instance, grid_points)
-    assert find_unilateral_deviation(instance, mechanism, misreports) == reference_unilateral(
-        instance, mechanism, misreports
-    )
     assert find_group_deviation(
-        instance, mechanism, misreports, max_coalition
+        instance, mechanism, grid_points=grid_points
+    ) == reference_unilateral(instance, mechanism, misreports)
+    assert find_group_deviation(
+        instance, mechanism, max_coalition, grid_points
     ) == reference_group(instance, mechanism, misreports, max_coalition)
 
 
@@ -358,10 +385,10 @@ def test_search_skips_coalitions_no_selection_can_help_but_not_lotteries():
     misreports = misreport_set(inst, grid_points=3)
     for rule in (LEFTMOST, MEAN, dictator_spec(2)):
         counting = CountingRule(rule)
-        assert find_group_deviation(inst, counting, misreports, max_coalition=3) is None
+        assert find_group_deviation(inst, counting, max_coalition=3, grid_points=3) is None
         assert counting.calls == 1
     lottery = CountingRule(RD)
-    assert find_group_deviation(inst, lottery, misreports, max_coalition=3) is None
+    assert find_group_deviation(inst, lottery, max_coalition=3, grid_points=3) is None
     assert lottery.calls == 1 + joint_misreport_count(inst.n, len(misreports) - 1, 3)
 
 
@@ -387,25 +414,12 @@ def test_count_is_the_work_of_an_uncut_search(case, grid_points):
     misreports = misreport_set(instance, grid_points, max_coalition=max_coalition)
     assert all(x in misreports for x in instance.agents)
     counting = CountingRule(RD)
-    witness = find_group_deviation(instance, counting, misreports, max_coalition)
+    witness = find_group_deviation(instance, counting, max_coalition, grid_points)
     joint = joint_misreport_count(instance.n, len(misreports) - 1, max_coalition)
     if witness is None:
         assert counting.calls == 1 + joint
     else:
         assert counting.calls <= 1 + joint
-
-
-def test_misreports_must_hold_every_true_location():
-    points = misreport_set(LB_BASE, grid_points=3)
-    lacking = tuple(r for r in points if r not in LB_BASE.agents)
-    with pytest.raises(ValueError, match="^agent 1's true location"):
-        find_group_deviation(LB_BASE, LEFTMOST, lacking)
-    second = LB_BASE.agents[1]
-    with pytest.raises(ValueError, match=f"^agent 2's true location {second} "):
-        find_unilateral_deviation(LB_BASE, LEFTMOST, tuple(r for r in points if r != second))
-    metric = metric_instance(((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1, 3), (2, 3), k=1)
-    with pytest.raises(ValueError, match="^agent 2's true location 3 "):
-        find_group_deviation(metric, dictator_spec(1), (1, 2))
 
 
 def test_every_profile_arrives_with_its_own_ints():
@@ -420,7 +434,7 @@ def test_every_profile_arrives_with_its_own_ints():
     ):
         misreports = misreport_set(inst, grid_points=3)
         lockstep = Lockstep(rule)
-        witness = find_group_deviation(inst, lockstep, misreports, max_coalition=3)
+        witness = find_group_deviation(inst, lockstep, max_coalition=3, grid_points=3)
         assert witness == reference_group(inst, rule, misreports, 3)
         assert lockstep.calls == calls
 
