@@ -15,7 +15,6 @@ from .core import (
     outcome_agent_cost,
     outcome_cost,
     parse_scalar,
-    point_mass,
 )
 from .instances import (
     CONSTRUCTION_NAMES,

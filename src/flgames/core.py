@@ -17,10 +17,13 @@ One routine checks a finite metric's matrix and closes it under shortest
 paths: FiniteMetric raises at its first shortcut, _closure keeps it closed.
 
 Every cost is read off one table, distance_rows: each agent's distance
-to each candidate as an int over the instance's one positive scale.
-outcome_cost, outcome_agent_cost and the solver's optimum return
-Fraction(int, scale), the exact value; distance() is the plain rational
-definition.
+to each candidate as an int over the instance's one positive scale.  An
+outcome is weighted on ints too: a lottery carries its probabilities as
+int weights over one positive denominator (Randomized.scaled), and a
+selection is its own point mass.  outcome_cost and outcome_agent_cost
+return Fraction(int, denominator * scale) and the solver's optimum
+Fraction(int, scale), the exact values; distance() is the plain
+rational definition.
 """
 
 from __future__ import annotations
@@ -289,7 +292,7 @@ class Deterministic:
 
     Order is preserved (the two-extremes rule reports the left facility
     first); duplicates are allowed and mean both facilities share a
-    candidate.
+    candidate.  `scaled` is its point mass in a lottery's int form.
     """
 
     selection: tuple[int, ...]
@@ -302,6 +305,19 @@ class Deterministic:
             if not isinstance(j, int) or isinstance(j, bool) or j < 1:
                 raise ValueError(f"candidate indices are 1-based ints, got {j!r}")
 
+    @classmethod
+    def _trusted(cls, selection: tuple) -> "Deterministic":
+        """This selection, a nonempty tuple of 1-based int indices, taken
+        as is.  For rules that build it that way; public construction
+        keeps every check."""
+        outcome = object.__new__(cls)
+        outcome.__dict__["selection"] = selection
+        return outcome
+
+    @property
+    def scaled(self) -> tuple[tuple[tuple[int, ...]], tuple[int], int]:
+        return (self.selection,), (1,), 1
+
 
 @dataclass(frozen=True)
 class Randomized:
@@ -311,9 +327,20 @@ class Randomized:
     selection, duplicate selections merged, zero-probability entries
     dropped, probabilities summing to exactly 1.  Two Randomized values
     therefore compare equal iff they are the same distribution.
+
+    `scaled` holds the same lottery as ints: (selections, int weights,
+    denominator), entry for entry with the support, so that support
+    probability p is Fraction(weight, denominator).  The deviation search
+    compares expected costs on it without building a Fraction.  The
+    denominator is positive but need not be the least one (random
+    dictatorship counts votes over n), so two equal lotteries can carry
+    different ints; it takes no part in equality, hashing or repr.
     """
 
     support: tuple[tuple[Deterministic, Fraction], ...]
+    scaled: tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         merged: dict[tuple[int, ...], Fraction] = {}
@@ -327,27 +354,34 @@ class Randomized:
         total = sum(merged.values(), Fraction(0))
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        canon = tuple(
-            (Deterministic(sel), prob) for sel, prob in sorted(merged.items()) if prob != 0
+        entries = [(sel, prob) for sel, prob in sorted(merged.items()) if prob != 0]
+        scale, weights = scale_to_integers(prob for _, prob in entries)
+        self.__dict__.update(
+            support=tuple((Deterministic(sel), prob) for sel, prob in entries),
+            scaled=(tuple(sel for sel, _ in entries), tuple(weights), scale),
         )
-        object.__setattr__(self, "support", canon)
 
     @classmethod
-    def _canonical(cls, support: tuple) -> "Randomized":
-        """A lottery from a support already in canonical form (sorted by
-        selection, merged, no zero entries, Fraction probabilities summing
-        to 1), taken as is.  For rules that build it that way; public
-        construction keeps every check."""
+    def _canonical(cls, selections: tuple, weights: tuple, denominator: int) -> "Randomized":
+        """The lottery giving selections[t] probability weights[t] /
+        denominator, from an int form already in canonical order (sorted
+        by selection, distinct, positive int weights summing to the
+        positive denominator), taken as is.  For rules that build it that
+        way; public construction keeps every check."""
         lottery = object.__new__(cls)
-        object.__setattr__(lottery, "support", support)
+        lottery.__dict__.update(
+            support=tuple(
+                [
+                    (Deterministic._trusted(sel), Fraction(w, denominator))
+                    for sel, w in zip(selections, weights)
+                ]
+            ),
+            scaled=(selections, weights, denominator),
+        )
         return lottery
 
 
 Outcome = Union[Deterministic, Randomized]
-
-
-def point_mass(outcome: Deterministic) -> Randomized:
-    return Randomized(((outcome, Fraction(1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +409,14 @@ def cost_scale(instance: Instance) -> int:
     return instance.space.scale if instance.scaled is None else instance.scaled[2]
 
 
-def row_cost(row: list[int], outcome: Outcome):
-    """An agent's cost under an outcome, read off its row of the table:
-    the min over the selection, in expectation for a lottery."""
-    support = outcome.support if isinstance(outcome, Randomized) else ((outcome, 1),)
-    return sum(prob * min(row[j - 1] for j in det.selection) for det, prob in support)
+def row_cost(row: list[int], outcome: Outcome) -> tuple[int, int]:
+    """An agent's cost under an outcome, read off its row of the table,
+    as an int over a positive denominator: sum(w * min(row[j - 1] for j
+    in selection)) over the outcome's int form (Randomized.scaled), and
+    that form's denominator, so a selection costs (its min, 1)."""
+    selections, weights, denominator = outcome.scaled
+    cost = sum(w * min(row[j - 1] for j in sel) for sel, w in zip(selections, weights))
+    return cost, denominator
 
 
 def selection_cost(columns, selection: tuple[int, ...], objective: str) -> int:
@@ -396,16 +433,17 @@ def outcome_cost(instance: Instance, outcome: Outcome, objective: str) -> Fracti
     """Objective value of an outcome, in expectation if randomized."""
     validate_objective(objective)
     columns = tuple(zip(*distance_rows(instance)))
-    support = outcome.support if isinstance(outcome, Randomized) else ((outcome, 1),)
-    value = sum(prob * selection_cost(columns, det.selection, objective) for det, prob in support)
-    return Fraction(value, cost_scale(instance))
+    selections, weights, denominator = outcome.scaled
+    value = sum(w * selection_cost(columns, sel, objective) for sel, w in zip(selections, weights))
+    return Fraction(value, denominator * cost_scale(instance))
 
 
 def outcome_agent_cost(instance: Instance, outcome: Outcome, i: int) -> Fraction:
     """Agent i's distance to its nearest selected facility, in
     expectation if randomized."""
     instance.agent(i)  # IndexError outside 1..n, where a row read would wrap
-    return Fraction(row_cost(distance_rows(instance, (i,))[0], outcome), cost_scale(instance))
+    cost, denominator = row_cost(distance_rows(instance, (i,))[0], outcome)
+    return Fraction(cost, denominator * cost_scale(instance))
 
 
 def permute_agents(instance: Instance, permutation: Sequence[int]) -> Instance:

@@ -32,7 +32,11 @@ once per search for every profile the deviation search tries; a finite
 metric keeps its distance matrix scaled the same way.  Multiplying by
 one positive constant keeps every difference, sum and order comparison,
 so each decision, tie rules included, is exactly the one the rational
-definition gives.  Outcomes and probabilities stay exact Fractions.
+definition gives.  Outcomes stay exact: a rule builds each selection
+with Deterministic._trusted, since it is valid by construction, and a
+lottery as ints, votes over n or weights over their common denominator,
+from which Randomized._canonical builds the exact Fraction support and
+keeps the ints beside it (Randomized.scaled) for the deviation search.
 
 One table, RULES, gives each kind its rule, the number of facilities it
 opens and whether it is defined on the line only.  MechanismSpec reads
@@ -55,6 +59,7 @@ from .core import (
     Randomized,
     distance_rows,
     parse_scalar,
+    scale_to_integers,
 )
 
 
@@ -84,33 +89,38 @@ def _closest_by_index(distances: list[int]) -> int:
 
 def _leftmost(instance: Instance, spec: MechanismSpec) -> Deterministic:
     agents, candidates, _ = instance.scaled
-    return Deterministic((_closest_on_line(candidates, min(agents), "low"),))
+    return Deterministic._trusted((_closest_on_line(candidates, min(agents), "low"),))
 
 
 def _dictator(instance: Instance, spec: MechanismSpec) -> Deterministic:
     if spec.dictator > instance.n:
         raise MechanismMismatch(f"dictator index {spec.dictator} out of range 1..{instance.n}")
-    return Deterministic((_closest_by_index(distance_rows(instance, (spec.dictator,))[0]),))
+    row = distance_rows(instance, (spec.dictator,))[0]
+    return Deterministic._trusted((_closest_by_index(row),))
 
 
 def _two_extremes(instance: Instance, spec: MechanismSpec) -> Deterministic:
     agents, candidates, _ = instance.scaled
     left = _closest_on_line(candidates, min(agents), "high")
     right = _closest_on_line(candidates, max(agents), "low")
-    return Deterministic((left, right))
+    return Deterministic._trusted((left, right))
 
 
 def _median(instance: Instance, spec: MechanismSpec) -> Deterministic:
     agents, candidates, _ = instance.scaled
     # left median: rank ceil(n/2), so (1, 5, 9, 10) has median 5
     pivot = sorted(agents)[(len(agents) + 1) // 2 - 1]
-    return Deterministic((_closest_on_line(candidates, pivot, "low"),))
+    return Deterministic._trusted((_closest_on_line(candidates, pivot, "low"),))
 
 
-def _lottery(mass: dict[int, Fraction]) -> Randomized:
-    """The lottery over single candidates with these positive
-    probabilities, which sum to 1; sorting is all canonical form needs."""
-    return Randomized._canonical(tuple((Deterministic((j,)), p) for j, p in sorted(mass.items())))
+def _lottery(mass: dict[int, int], denominator: int) -> Randomized:
+    """The lottery over single candidates with these positive int
+    weights, which sum to the denominator; sorting is all canonical form
+    needs."""
+    order = sorted(mass)
+    return Randomized._canonical(
+        tuple([(j,) for j in order]), tuple([mass[j] for j in order]), denominator
+    )
 
 
 def _random_dictatorship(instance: Instance, spec: MechanismSpec) -> Randomized:
@@ -118,28 +128,31 @@ def _random_dictatorship(instance: Instance, spec: MechanismSpec) -> Randomized:
     for distances in distance_rows(instance):
         j = _closest_by_index(distances)
         votes[j] = votes.get(j, 0) + 1
-    n = instance.n
-    return _lottery({j: Fraction(count, n) for j, count in votes.items()})
+    return _lottery(votes, instance.n)
 
 
 def _wpv(instance: Instance, spec: MechanismSpec) -> Randomized:
     if len(spec.weights) != instance.n:
         raise MechanismMismatch(f"need {instance.n} weights, got {len(spec.weights)}")
     agents, candidates, _ = instance.scaled
-    mass: dict[int, Fraction] = {}
-    for x, w in zip(sorted(agents), spec.weights):
-        # the spec's weights are nonnegative and sum to 1; zero ones drop out
+    # the spec's weights are nonnegative and sum to 1, so as ints over
+    # their common denominator they sum to it; zero ones drop out
+    denominator, weights = scale_to_integers(spec.weights)
+    mass: dict[int, int] = {}
+    for x, w in zip(sorted(agents), weights):
         if w:
             j = _closest_on_line(candidates, x, "low")
             mass[j] = mass.get(j, 0) + w
-    return _lottery(mass)
+    return _lottery(mass, denominator)
 
 
 def _mean(instance: Instance, spec: MechanismSpec) -> Deterministic:
     agents, candidates, _ = instance.scaled
     # |c - S/n| ranks candidates as |c*n - S| does
     n = len(agents)
-    return Deterministic((_closest_on_line([c * n for c in candidates], sum(agents), "low"),))
+    return Deterministic._trusted(
+        (_closest_on_line([c * n for c in candidates], sum(agents), "low"),)
+    )
 
 
 # kind -> (rule, facilities it opens, defined on the line only)

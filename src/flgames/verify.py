@@ -28,7 +28,12 @@ member's cost strictly.  This is exact: whatever the members report,
 the rule answers with some k-multiset, so such a coalition cannot hold
 a witness, and the scan order and witnesses are unchanged.  Lotteries
 (rd, wpv) are not cut, because a mix of selections can help every
-member in expectation when no single selection does.
+member in expectation when no single selection does.  A lottery's
+member cost is an int over the lottery's denominator, read off the same
+table through its int form (Randomized.scaled), and is compared with the
+truthful one by cross-multiplication, so no Fraction is built until a
+witness is found; a shifted lottery equal to the truthful one fails the
+strict test, so there is no separate equality check.
 
 On the line the search scales once: the agents, the candidates and the
 misreport set go to ints over one common denominator, and every profile
@@ -163,6 +168,14 @@ def _choices(truthful: list[tuple], options: list[tuple], coalition: tuple) -> l
     return choices
 
 
+def _lowers(row: list[int], outcome: Outcome, cost: int, denominator: int) -> bool:
+    """Whether the outcome costs this row's agent strictly less than
+    cost / denominator, decided on ints by cross-multiplication, since
+    both denominators are positive."""
+    value, scale = row_cost(row, outcome)
+    return value * denominator < cost * scale
+
+
 def find_group_deviation(
     instance: Instance,
     mechanism,
@@ -195,9 +208,14 @@ def find_group_deviation(
     rule, and for the rest, a shifted outcome is a witness exactly when
     its selection is one of them.  Lotteries get no such cut, since a
     lottery can lower every member's expected cost when no single
-    selection does; their member costs are compared as expectations over
-    the same table, and only a coalition with a member already at cost 0
-    is skipped.
+    selection does.  A lottery's member cost is the int sum(w * min(row[j
+    - 1] for j in selection)) over its int form's denominator
+    (Randomized.scaled); the truthful one is computed once per member,
+    and a shifted one strictly improves exactly when, cross-multiplied
+    by the other's denominator, it is the smaller int.  A shifted lottery
+    equal to the truthful one fails that strict test for every member,
+    so it is not compared separately.  Only a coalition with a member
+    already at cost 0 is skipped.
     """
     n = instance.n
     points = misreport_set(instance, grid_points, guard, max_coalition)
@@ -224,7 +242,9 @@ def find_group_deviation(
         int_options = [point_ints[:j] + point_ints[j + 1 :] for j in cuts]
     truthful = mechanism.apply(instance)
     table = distance_rows(instance)
-    base_costs = [row_cost(row, truthful) for row in table]
+    # each agent's truthful cost, as an int over one positive denominator
+    base_costs = [row_cost(row, truthful)[0] for row in table]
+    base_denominator = truthful.scaled[2]
     deterministic = isinstance(truthful, Deterministic)
     if deterministic:
         selections = list(candidate_multisets(instance, guard))
@@ -259,8 +279,8 @@ def find_group_deviation(
                 if deterministic:
                     if tuple(sorted(shifted.selection)) not in winning:
                         continue
-                elif shifted == truthful or any(
-                    not row_cost(table[i - 1], shifted) < base_costs[i - 1]
+                elif not all(
+                    _lowers(table[i - 1], shifted, base_costs[i - 1], base_denominator)
                     for i in coalition
                 ):
                     continue

@@ -17,7 +17,6 @@ from flgames.core import (
     outcome_cost,
     parse_scalar,
     permute_agents,
-    point_mass,
 )
 from flgames.mechanisms import wpv_spec
 
@@ -144,8 +143,9 @@ def test_expected_cost_of_two_point_distribution():
 
 def test_point_mass_matches_deterministic():
     det = Deterministic((2,))
-    assert outcome_cost(LB_BASE, point_mass(det), "sc") == outcome_cost(LB_BASE, det, "sc")
-    assert outcome_cost(LB_BASE, point_mass(det), "mc") == outcome_cost(LB_BASE, det, "mc")
+    mass = Randomized(((det, 1),))
+    assert outcome_cost(LB_BASE, mass, "sc") == outcome_cost(LB_BASE, det, "sc")
+    assert outcome_cost(LB_BASE, mass, "mc") == outcome_cost(LB_BASE, det, "mc")
 
 
 def test_randomized_canonical_form():
@@ -233,6 +233,6 @@ def test_point_mass_expectation_property(data):
     inst = data.draw(small_line_instances(k=1))
     outcome = data.draw(selections(inst))
     for objective in ("sc", "mc"):
-        assert outcome_cost(inst, point_mass(outcome), objective) == outcome_cost(
+        assert outcome_cost(inst, Randomized(((outcome, 1),)), objective) == outcome_cost(
             inst, outcome, objective
         )

@@ -1,7 +1,9 @@
 """Differential tests: every rule, deciding on scaled integers, matches
 the plain Fraction definition of that rule, and every cost and the exact
 optimum, read off the integer cost table, match the plain Fraction cost
-definitions, on random and tie-heavy instances; the metric closure and
+definitions, on random and tie-heavy instances; a lottery's int form is
+its Fraction support, and the search's cross-multiplied comparison of
+lottery costs is the comparison of exact costs; the metric closure and
 triangle check on ints match Floyd-Warshall and the scan on Fractions."""
 
 import itertools
@@ -19,12 +21,15 @@ from flgames.core import (
     Instance,
     Line,
     Randomized,
+    cost_scale,
     distance,
+    distance_rows,
     line_instance,
     metric_instance,
     outcome_agent_cost,
     outcome_cost,
     permute_agents,
+    row_cost,
     scale_to_integers,
 )
 from flgames.instances import (
@@ -35,6 +40,7 @@ from flgames.instances import (
 )
 from flgames.mechanisms import LEFTMOST, MEAN, MEDIAN, RD, TWO_EXTREMES, dictator_spec, wpv_spec
 from flgames.solver import OptResult, optimal
+from flgames.verify import _lowers
 
 # ---------------------------------------------------------------------------
 # reference: each rule written directly on Fractions
@@ -120,14 +126,14 @@ COARSE = st.integers(-6, 6).map(lambda v: F(v, 2))
 
 
 @st.composite
-def line_instances(draw, coord=COORD):
+def line_instances(draw, coord=COORD, ks=(1, 2)):
     candidates = draw(st.lists(coord, min_size=1, max_size=5))
     agents = draw(st.lists(coord, min_size=1, max_size=6))
-    return line_instance(agents, candidates, k=draw(st.sampled_from((1, 2))))
+    return line_instance(agents, candidates, k=draw(st.sampled_from(ks)))
 
 
 @st.composite
-def tie_instances(draw):
+def tie_instances(draw, ks=(1, 2)):
     """Agents on candidate midpoints, co-located candidates, and a mean
     that lands on a midpoint, with candidates eps apart."""
     base = draw(st.lists(COORD, min_size=1, max_size=4))
@@ -142,7 +148,7 @@ def tie_instances(draw):
         target = draw(st.sampled_from(midpoints))
         agents.append(target * (len(agents) + 1) - sum(agents))
     agents = draw(st.permutations(agents))
-    return line_instance(agents, candidates, k=draw(st.sampled_from((1, 2))))
+    return line_instance(agents, candidates, k=draw(st.sampled_from(ks)))
 
 
 @st.composite
@@ -389,6 +395,92 @@ def test_costs_read_the_scale_a_profile_carries():
                 plain, outcome, objective
             )
     assert optimal(profile, "sc") == ref_optimal(plain, "sc")
+
+
+# ---------------------------------------------------------------------------
+# lotteries on ints: a lottery rule's int form against its Fraction support,
+# and the search's cross-multiplied cost comparison against the Fractions
+
+
+def assert_int_form_is_the_support(lottery):
+    """Randomized.scaled holds the support entry for entry: the same
+    selections, and weight w over the positive int denominator d for
+    probability Fraction(w, d)."""
+    selections, weights, denominator = lottery.scaled
+    assert type(denominator) is int and denominator > 0
+    assert len(selections) == len(weights) == len(lottery.support)
+    for (det, prob), sel, w in zip(lottery.support, selections, weights):
+        assert det.selection == sel and type(w) is int and F(w, denominator) == prob
+
+
+def assert_lottery_matches_public_construction(lottery):
+    assert_int_form_is_the_support(lottery)
+    public = Randomized(lottery.support)
+    assert_int_form_is_the_support(public)
+    assert public == lottery and hash(public) == hash(lottery) and repr(public) == repr(lottery)
+    # the rule may count over a larger denominator (votes over n); both
+    # int forms are the same lottery
+    rule_sel, rule_w, rule_d = lottery.scaled
+    public_sel, public_w, public_d = public.scaled
+    assert public_sel == rule_sel
+    assert [F(w, public_d) for w in public_w] == [F(w, rule_d) for w in rule_w]
+
+
+def assert_cost_comparisons_match_fractions(instance, before, after):
+    """For every agent, the search's test (after's cost strictly below
+    before's, cross-multiplied on ints) is the test on exact costs."""
+    for i, row in enumerate(distance_rows(instance), start=1):
+        cost, denominator = row_cost(row, before)
+        old, new = outcome_agent_cost(instance, before, i), outcome_agent_cost(instance, after, i)
+        assert F(cost, denominator * cost_scale(instance)) == old
+        assert old == ref_outcome_agent_cost(instance, before, i)
+        assert new == ref_outcome_agent_cost(instance, after, i)
+        assert _lowers(row, after, cost, denominator) == (new < old), (i, before, after)
+
+
+@st.composite
+def wpv_with_zeros(draw, n):
+    """A wpv rule for n agents with zero weights, over a denominator that
+    need not be n: an extreme percentile, the two ends, or drawn ints."""
+    ends = [F(1, 2)] + [F(0)] * (n - 2) + [F(1, 2)] if n > 1 else [F(1)]
+    raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    drawn = [F(w, sum(raw)) for w in raw]
+    return wpv_spec(draw(st.sampled_from(([F(0)] * (n - 1) + [F(1)], ends, drawn))))
+
+
+@st.composite
+def lottery_cases(draw):
+    """A lottery rule, an instance it is defined on, and the instance
+    with one agent moved, as the search moves it: rd on the line and on
+    a metric, and wpv with zero weights on tie-heavy profiles."""
+    kind = draw(st.sampled_from(("rd-line", "rd-metric", "wpv-ties")))
+    if kind == "rd-metric":
+        instance = draw(metric_instances())
+        report = draw(st.integers(1, instance.space.size))
+    else:
+        instance = draw(tie_instances(ks=(1,)) if kind == "wpv-ties" else line_instances(ks=(1,)))
+        midpoints = [(a + b) / 2 for a in instance.candidates for b in instance.candidates]
+        report = draw(st.one_of(COORD, st.sampled_from(midpoints + list(instance.agents))))
+    spec = draw(wpv_with_zeros(instance.n)) if kind == "wpv-ties" else RD
+    mover = draw(st.integers(0, instance.n - 1))
+    moved = instance.replace_agents(
+        instance.agents[:mover] + (report,) + instance.agents[mover + 1 :]
+    )
+    return spec, instance, moved
+
+
+@given(case=lottery_cases(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_lottery_int_form_and_cost_comparisons_match_fractions(case, data):
+    spec, instance, moved = case
+    truthful, shifted = spec.apply(instance), spec.apply(moved)
+    assert truthful == reference(spec, instance) and shifted == reference(spec, moved)
+    for lottery in (truthful, shifted):
+        assert_lottery_matches_public_construction(lottery)
+    drawn = data.draw(outcomes(instance))
+    for before, after in itertools.permutations((truthful, shifted, drawn), 2):
+        assert_cost_comparisons_match_fractions(instance, before, after)
+    assert_cost_comparisons_match_fractions(instance, truthful, truthful)
 
 
 # ---------------------------------------------------------------------------

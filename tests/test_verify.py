@@ -147,6 +147,20 @@ def test_pair_trap_needs_a_coalition():
     assert MEAN.apply(shifted) == Deterministic((2,))
 
 
+def test_lottery_witness_is_exact_and_replayable():
+    """Half the mass follows the mean, so the pair trap's lie halves
+    both members' gains: each ends at cost 1."""
+    witness = find_group_deviation(PAIR_TRAP, MEAN_OR_LEFTMOST, max_coalition=2)
+    assert witness.coalition == (1, 2)
+    assert witness.misreports == (F(22, 5), F(8))
+    assert witness.costs_before == (F(13, 8), F(15, 8))
+    assert witness.costs_after == (F(1), F(1))
+    shifted = PAIR_TRAP.replace_agents((F(22, 5), F(8), F(-4), F(-4)))
+    assert witness.outcome_after == MEAN_OR_LEFTMOST.apply(shifted) == Randomized(
+        ((Deterministic((1,)), F(1, 2)), (Deterministic((2,)), F(1, 2)))
+    )
+
+
 def test_group_clean_for_group_strategyproof_rules():
     family = RandomFamily("line-uniform", n=4, m=3, seed=77)
     for index in range(10):
@@ -274,6 +288,18 @@ class MeanAndMedian:
 MEAN_AND_MEDIAN = MeanAndMedian()
 
 
+class MeanOrLeftmost:
+    """A manipulable lottery built with the public constructor: half on
+    the mean rule's candidate, half on the leftmost rule's.  A lie that
+    moves the mean moves half the mass."""
+
+    def apply(self, instance):
+        return Randomized(((MEAN.apply(instance), F(1, 2)), (LEFTMOST.apply(instance), F(1, 2))))
+
+
+MEAN_OR_LEFTMOST = MeanOrLeftmost()
+
+
 class Lockstep:
     """A rule that, before delegating, checks that the instance it is
     handed carries ints in step with its Fractions: the agents and the
@@ -313,6 +339,7 @@ FAMILY_CASES = (
     (wpv_spec([F(1, 4)] * 4), "line-uniform", 1),
     (end_weights(4), "line-uniform", 1),
     (MEAN_AND_MEDIAN, "line-uniform", 2),
+    (MEAN_OR_LEFTMOST, "line-uniform", 1),
     (Lockstep(MEAN), "line-uniform", 1),
     (Lockstep(RD), "line-uniform", 1),
 )
@@ -329,6 +356,7 @@ def tie_profiles(draw):
     midpoints = [(a + b) / 2 for a in candidates for b in candidates]
     agents = draw(st.lists(st.sampled_from(midpoints), min_size=3, max_size=4))
     rules = [LEFTMOST, MEDIAN, MEAN, dictator_spec(1), RD, end_weights(len(agents))]
+    rules.append(MEAN_OR_LEFTMOST)
     mechanism = draw(st.sampled_from(rules + [TWO_EXTREMES, MEAN_AND_MEDIAN]))
     return mechanism, line_instance(agents, candidates, k=1 if mechanism in rules else 2)
 
@@ -337,15 +365,15 @@ def tie_profiles(draw):
 def search_cases(draw):
     """A rule and an instance it is defined on.  The strawman mean runs on
     coarse line profiles, n=3-5, where it has witnesses at size 1 and,
-    when no single lie pays, at size 2; so does the two-facility mean
-    and median rule."""
+    when no single lie pays, at size 2; so do the two-facility mean
+    and median rule and the mean-or-leftmost lottery."""
     branch = draw(st.integers(0, 2))
     if branch == 0:
         agents = draw(st.lists(HALVES, min_size=3, max_size=5))
         candidates = draw(st.lists(HALVES, min_size=2, max_size=3))
-        if draw(st.booleans()):
-            return MEAN, line_instance(agents, candidates)
-        return MEAN_AND_MEDIAN, line_instance(agents, candidates, k=2)
+        rules = ((MEAN, 1), (MEAN_AND_MEDIAN, 2), (MEAN_OR_LEFTMOST, 1))
+        mechanism, k = draw(st.sampled_from(rules))
+        return mechanism, line_instance(agents, candidates, k=k)
     if branch == 1:
         return draw(tie_profiles())
     mechanism, kind, k = draw(st.sampled_from(FAMILY_CASES))
@@ -355,6 +383,7 @@ def search_cases(draw):
 
 @given(case=search_cases(), max_coalition=st.integers(1, 3), grid_points=st.integers(0, 5))
 @example(case=(MEAN, PAIR_TRAP), max_coalition=2, grid_points=5)
+@example(case=(MEAN_OR_LEFTMOST, PAIR_TRAP), max_coalition=2, grid_points=5)
 @settings(max_examples=200, deadline=None)
 def test_one_search_loop_matches_both_reference_loops(case, max_coalition, grid_points):
     mechanism, instance = case
