@@ -10,11 +10,15 @@ out of range and an output file that cannot be written), 3 enumeration
 guard exceeded, 4 mechanism/space mismatch.
 The environment variable FLG_GUARD, a positive integer, overrides the
 default enumeration guard of 10^7.
+The parser is built on the first main call and reused for the rest of
+the process; FLG_GUARD, and every module name a handler calls, are
+still read on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -406,10 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     guard = DEFAULT_GUARD

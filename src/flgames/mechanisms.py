@@ -47,7 +47,7 @@ rule.  The specs are the public form of the rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -135,9 +135,7 @@ def _wpv(instance: Instance, spec: MechanismSpec) -> Randomized:
     if len(spec.weights) != instance.n:
         raise MechanismMismatch(f"need {instance.n} weights, got {len(spec.weights)}")
     agents, candidates, _ = instance.scaled
-    # the spec's weights are nonnegative and sum to 1, so as ints over
-    # their common denominator they sum to it; zero ones drop out
-    denominator, weights = scale_to_integers(spec.weights)
+    weights, denominator = spec.scaled
     mass: dict[int, int] = {}
     for x, w in zip(sorted(agents), weights):
         if w:
@@ -173,9 +171,21 @@ RULES = {
 
 @dataclass(frozen=True)
 class MechanismSpec:
+    """A rule by name, with its argument.
+
+    For wpv, `scaled` holds the weights as ints over their common
+    denominator, (int weights, denominator), computed once here; the
+    weights are nonnegative and sum to 1, so the ints sum to the
+    denominator.  It is None for every other kind and takes no part in
+    equality, hashing or repr.
+    """
+
     kind: str
     dictator: Optional[int] = None
     weights: Optional[tuple[Fraction, ...]] = None
+    scaled: Optional[tuple[tuple[int, ...], int]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.kind not in RULES:
@@ -189,7 +199,8 @@ class MechanismSpec:
             weights = tuple(parse_scalar(w) for w in self.weights)
             if any(w < 0 for w in weights) or sum(weights) != 1:
                 raise MechanismMismatch("weights must be nonnegative and sum to 1")
-            object.__setattr__(self, "weights", weights)
+            denominator, ints = scale_to_integers(weights)
+            self.__dict__.update(weights=weights, scaled=(tuple(ints), denominator))
 
     def label(self) -> str:
         if self.kind == "dictator":

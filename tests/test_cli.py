@@ -672,9 +672,9 @@ def test_python_m_output_is_the_same_bytes_under_any_hash_seed(capsys):
 
 def test_package_runs_on_the_standard_library_alone(capsys):
     """Under `python -I -S` (no site-packages, no PYTHON* variables) with
-    only src added to sys.path, flgames and its CLI import and solve the
-    golden instance; hypothesis is not importable there, so the
-    isolation is real."""
+    only src added to sys.path, flgames and its CLI import, without
+    building the parser, and solve the golden instance; hypothesis is
+    not importable there, so the isolation is real."""
     script = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -686,6 +686,8 @@ def test_package_runs_on_the_standard_library_alone(capsys):
         "    sys.exit('hypothesis is importable')\n"
         "import flgames\n"
         "import flgames.cli\n"
+        "if flgames.cli._parser.cache_info().currsize:\n"
+        "    sys.exit('the parser was built at import')\n"
         "sys.exit(flgames.cli.main(['solve', sys.argv[2], '--objective', 'mc']))\n"
     )
     argv = ["solve", str(GOLDEN), "--objective", "mc"]
@@ -716,3 +718,69 @@ def test_exit_mismatch(tmp_path, capsys):
     assert main(["run", line_path, "--mechanism", "nope"]) == EXIT_MISMATCH
     assert main(["run", line_path, "--mechanism", "two-extremes"]) == EXIT_MISMATCH  # k=1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+SUBCOMMANDS = ("solve", "run", "verify", "sweep", "replay")
+
+
+def test_help_after_earlier_calls_is_a_fresh_parsers_bytes(capsys, monkeypatch):
+    """Once main has parsed a usage error and a valid command, `--help`
+    of flgames and of each subcommand prints what a freshly built parser
+    prints (compared with a fresh build, since the layout differs across
+    Python versions)."""
+    monkeypatch.setenv("COLUMNS", "100")
+    cli._parser.cache_clear()
+    assert main(["fly"]) == EXIT_PARSE
+    assert main(["solve", str(GOLDEN), "--objective", "mc"]) == EXIT_OK
+    capsys.readouterr()
+    for argv in (["--help"], *([sub, "--help"] for sub in SUBCOMMANDS)):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 0
+        expected = capsys.readouterr().out
+        assert expected.startswith("usage: flgames")
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, ""), argv
+
+
+def test_reusing_the_parser_leaves_no_state(tmp_path, capsys, monkeypatch):
+    """Repeated and mixed calls print what single calls print, options
+    fall back to their defaults, and the parser is built once."""
+    cli._parser.cache_clear()
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    solve = ["solve", str(GOLDEN), "--objective", "mc"]
+    assert main(solve) == EXIT_OK
+    first = capsys.readouterr().out
+    assert main(solve) == EXIT_OK
+    assert capsys.readouterr().out == first
+
+    assert main(["solve"]) == EXIT_PARSE
+    usage = capsys.readouterr()
+    assert usage.out == "" and usage.err.startswith("usage: flgames solve")
+
+    verify_args = ["verify", str(GOLDEN), "--mechanism", "leftmost"]
+    code, payload = run_json(capsys, verify_args + ["--group-max", "2", "--grid", "9"])
+    assert (code, payload["searched"]["max_coalition"]) == (EXIT_OK, 2)
+    code, payload = run_json(capsys, verify_args)
+    assert (code, payload["searched"]["max_coalition"]) == (EXIT_OK, 1)
+
+    sweep = ["sweep", "--family", "line-uniform", "--n", "3", "--m", "2"]
+    sweep += ["--mechanism", "leftmost", "--objective", "mc", "--count", "2"]
+    out = tmp_path / "rows.csv"
+    assert main(sweep + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(sweep) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    for _ in range(10):
+        assert main(solve) == EXIT_OK
+    assert capsys.readouterr().out == first * 10
+    assert main(["solve"]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", usage.err)
+    assert built == [1]

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from flgames import mechanisms
 from flgames.core import Deterministic, Randomized, line_instance, metric_instance
 from flgames.instances import PaperConstruction, build_paper_instance
 from flgames.mechanisms import (
@@ -138,6 +139,19 @@ def test_wpv_validates_weights():
         wpv_spec((F(1, 2), F(1, 4))).apply(REMARK)
     with pytest.raises(MechanismMismatch):
         wpv_spec((F(3, 2), F(-1, 2))).apply(REMARK)
+
+
+def test_wpv_scales_its_weights_once_per_spec(monkeypatch):
+    """The int weights are computed when the spec is built and take no
+    part in equality, hash or repr."""
+    halves, quarters = parse_mechanism("wpv:1/2,1/2"), parse_mechanism("wpv:2/4,2/4")
+    assert halves == quarters and hash(halves) == hash(quarters)
+    assert repr(halves) == repr(quarters) and halves.label() == "wpv:1/2,1/2"
+    assert halves.scaled == ((1, 1), 2) and RD.scaled is None
+    monkeypatch.setattr(mechanisms, "scale_to_integers", None)  # apply must not rescale
+    assert halves.apply(REMARK) == quarters.apply(REMARK) == Randomized(
+        ((Deterministic((1,)), F(1, 2)), (Deterministic((3,)), F(1, 2)))
+    )
 
 
 def test_closest_to_mean():
