@@ -18,12 +18,12 @@ paths: FiniteMetric raises at its first shortcut, _closure keeps it closed.
 
 Every cost is read off one table, distance_rows: each agent's distance
 to each candidate as an int over the instance's one positive scale.  An
-outcome is weighted on ints too: a lottery carries its probabilities as
-int weights over one positive denominator (Randomized.scaled), and a
-selection is its own point mass.  outcome_cost and outcome_agent_cost
-return Fraction(int, denominator * scale) and the solver's optimum
-Fraction(int, scale), the exact values; distance() is the plain
-rational definition.
+outcome is weighted on ints too: a lottery is stored only as int
+weights over one positive denominator, in lowest terms
+(Randomized.scaled), and a selection is its own point mass.
+outcome_cost and outcome_agent_cost return Fraction(int, denominator *
+scale) and the solver's optimum Fraction(int, scale), the exact values;
+distance() is the plain rational definition.
 """
 
 from __future__ import annotations
@@ -319,32 +319,26 @@ class Deterministic:
         return (self.selection,), (1,), 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Randomized:
-    """An exact probability distribution over deterministic selections.
+    """An exact probability distribution over deterministic selections,
+    stored as ints only: `scaled` is (selections, int weights,
+    denominator), the selections sorted and distinct, the weights
+    positive, summing to the denominator and sharing no factor with it.
+    That form is canonical, so two Randomized values compare equal (and
+    hash alike) iff they are the same distribution.  Costs and the
+    deviation search read it; `support`, the (Deterministic, Fraction)
+    pairs, is built when read.
 
-    Canonical form is enforced at construction: support sorted by
-    selection, duplicate selections merged, zero-probability entries
-    dropped, probabilities summing to exactly 1.  Two Randomized values
-    therefore compare equal iff they are the same distribution.
-
-    `scaled` holds the same lottery as ints: (selections, int weights,
-    denominator), entry for entry with the support, so that support
-    probability p is Fraction(weight, denominator).  The deviation search
-    compares expected costs on it without building a Fraction.  The
-    denominator is positive but need not be the least one (random
-    dictatorship counts votes over n), so two equal lotteries can carry
-    different ints; it takes no part in equality, hashing or repr.
+    Randomized(support) merges duplicate selections, drops
+    zero-probability entries and checks that the probabilities sum to 1.
     """
 
-    support: tuple[tuple[Deterministic, Fraction], ...]
-    scaled: tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int] = field(
-        init=False, compare=False, repr=False
-    )
+    scaled: tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
 
-    def __post_init__(self):
+    def __init__(self, support):
         merged: dict[tuple[int, ...], Fraction] = {}
-        for outcome, prob in self.support:
+        for outcome, prob in support:
             if not isinstance(outcome, Deterministic):
                 outcome = Deterministic(tuple(outcome))
             prob = parse_scalar(prob)
@@ -355,30 +349,31 @@ class Randomized:
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
         entries = [(sel, prob) for sel, prob in sorted(merged.items()) if prob != 0]
-        scale, weights = scale_to_integers(prob for _, prob in entries)
-        self.__dict__.update(
-            support=tuple((Deterministic(sel), prob) for sel, prob in entries),
-            scaled=(tuple(sel for sel, _ in entries), tuple(weights), scale),
-        )
+        # reduced probabilities over their lcm share no factor with it
+        denominator, weights = scale_to_integers(prob for _, prob in entries)
+        self.__dict__["scaled"] = (tuple(sel for sel, _ in entries), tuple(weights), denominator)
 
     @classmethod
     def _canonical(cls, selections: tuple, weights: tuple, denominator: int) -> "Randomized":
         """The lottery giving selections[t] probability weights[t] /
-        denominator, from an int form already in canonical order (sorted
-        by selection, distinct, positive int weights summing to the
-        positive denominator), taken as is.  For rules that build it that
-        way; public construction keeps every check."""
+        denominator, from ints in canonical order (sorted, distinct
+        selections; positive weights summing to the positive denominator),
+        taken as is but for their common factor, divided out here.  For
+        rules that build them that way; public construction checks all."""
+        g = gcd(denominator, *weights)
+        if g > 1:
+            weights, denominator = tuple([w // g for w in weights]), denominator // g
         lottery = object.__new__(cls)
-        lottery.__dict__.update(
-            support=tuple(
-                [
-                    (Deterministic._trusted(sel), Fraction(w, denominator))
-                    for sel, w in zip(selections, weights)
-                ]
-            ),
-            scaled=(selections, weights, denominator),
-        )
+        lottery.__dict__["scaled"] = (selections, weights, denominator)
         return lottery
+
+    @property
+    def support(self) -> tuple[tuple[Deterministic, Fraction], ...]:
+        sels, weights, d = self.scaled
+        return tuple((Deterministic._trusted(s), Fraction(w, d)) for s, w in zip(sels, weights))
+
+    def __repr__(self) -> str:
+        return f"Randomized(support={self.support!r})"
 
 
 Outcome = Union[Deterministic, Randomized]

@@ -35,8 +35,8 @@ so each decision, tie rules included, is exactly the one the rational
 definition gives.  Outcomes stay exact: a rule builds each selection
 with Deterministic._trusted, since it is valid by construction, and a
 lottery as ints, votes over n or weights over their common denominator,
-from which Randomized._canonical builds the exact Fraction support and
-keeps the ints beside it (Randomized.scaled) for the deviation search.
+which Randomized._canonical keeps as the lottery's only form
+(Randomized.scaled) once it has divided out their common factor.
 
 One table, RULES, gives each kind its rule, the number of facilities it
 opens and whether it is defined on the line only.  MechanismSpec reads
@@ -115,7 +115,7 @@ def _median(instance: Instance, spec: MechanismSpec) -> Deterministic:
 
 def _lottery(mass: dict[int, int], denominator: int) -> Randomized:
     """The lottery over single candidates with these positive int
-    weights, which sum to the denominator; sorting is all canonical form
+    weights, which sum to the denominator; sorting is all _canonical
     needs."""
     order = sorted(mass)
     return Randomized._canonical(
@@ -171,7 +171,8 @@ RULES = {
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """A rule by name, with its argument.
+    """A rule by name, with the one argument its kind takes (dictator's
+    index, wpv's weights) and no other.
 
     For wpv, `scaled` holds the weights as ints over their common
     denominator, (int weights, denominator), computed once here; the
@@ -190,6 +191,10 @@ class MechanismSpec:
     def __post_init__(self):
         if self.kind not in RULES:
             raise MechanismMismatch(f"unknown mechanism {self.kind!r}")
+        if self.kind != "dictator" and self.dictator is not None:
+            raise MechanismMismatch(f"mechanism {self.kind!r} takes no dictator index")
+        if self.kind != "wpv" and self.weights is not None:
+            raise MechanismMismatch(f"mechanism {self.kind!r} takes no weights")
         if self.kind == "dictator":
             if type(self.dictator) is not int or self.dictator < 1:
                 raise MechanismMismatch("dictator needs a 1-based agent index")

@@ -73,7 +73,6 @@ from .solver import (
     Ratio,
     candidate_multisets,
     optimal,
-    ratio,
     ratio_of,
 )
 
@@ -409,12 +408,9 @@ class ReplayReport:
 
 
 def _far_missing(outcome: Outcome, far_index: int) -> Fraction:
-    if not hasattr(outcome, "support"):
-        return Fraction(0) if far_index in outcome.selection else Fraction(1)
-    return sum(
-        (prob for det, prob in outcome.support if far_index not in det.selection),
-        Fraction(0),
-    )
+    selections, weights, denominator = outcome.scaled
+    missing = sum(w for sel, w in zip(selections, weights) if far_index not in sel)
+    return Fraction(missing, denominator)
 
 
 def replay_lower_bound(
@@ -435,8 +431,10 @@ def replay_lower_bound(
     shifted = build_paper_instance(PaperConstruction(shifted_name, eps=eps, far=far))
     outcome_base = mechanism.apply(base)
     outcome_shifted = mechanism.apply(shifted)
-    ratio_base = ratio(base, mechanism, "mc")
-    ratio_shifted = ratio(shifted, mechanism, "mc")
+    ratio_base = ratio_of(outcome_cost(base, outcome_base, "mc"), optimal(base, "mc").value)
+    ratio_shifted = ratio_of(
+        outcome_cost(shifted, outcome_shifted, "mc"), optimal(shifted, "mc").value
+    )
     # agent 2's lie: with everyone else truthful, reporting 3 turns the
     # base profile into the shifted one
     cost_truthful = outcome_agent_cost(base, outcome_base, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -166,6 +167,19 @@ def test_randomized_validation():
         Randomized(((Deterministic((1,)), F(1, 2)),))
     with pytest.raises(ValueError):
         Randomized(((Deterministic((1,)), F(3, 2)), (Deterministic((2,)), F(-1, 2))))
+
+
+def test_randomized_stores_only_its_reduced_int_form():
+    half = Randomized(((Deterministic((2,)), F(1, 2)), ((1,), F(1, 4)), ((1,), "1/4")))
+    assert [f.name for f in dataclasses.fields(Randomized)] == ["scaled"]
+    assert vars(half) == {"scaled": (((1,), (2,)), (1, 1), 2)}
+    assert repr(half) == (
+        "Randomized(support=((Deterministic(selection=(1,)), Fraction(1, 2)), "
+        "(Deterministic(selection=(2,)), Fraction(1, 2))))"
+    )
+    for name in ("scaled", "support"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(half, name, half.scaled)
 
 
 def test_objective_validation():

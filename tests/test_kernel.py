@@ -405,9 +405,12 @@ def test_costs_read_the_scale_a_profile_carries():
 def assert_int_form_is_the_support(lottery):
     """Randomized.scaled holds the support entry for entry: the same
     selections, and weight w over the positive int denominator d for
-    probability Fraction(w, d)."""
+    probability Fraction(w, d).  It is canonical: the selections sorted
+    and distinct, the weights positive and in lowest terms over d."""
     selections, weights, denominator = lottery.scaled
     assert type(denominator) is int and denominator > 0
+    assert list(selections) == sorted(set(selections))
+    assert all(w > 0 for w in weights) and gcd(denominator, *weights) == 1
     assert len(selections) == len(weights) == len(lottery.support)
     for (det, prob), sel, w in zip(lottery.support, selections, weights):
         assert det.selection == sel and type(w) is int and F(w, denominator) == prob
@@ -418,12 +421,7 @@ def assert_lottery_matches_public_construction(lottery):
     public = Randomized(lottery.support)
     assert_int_form_is_the_support(public)
     assert public == lottery and hash(public) == hash(lottery) and repr(public) == repr(lottery)
-    # the rule may count over a larger denominator (votes over n); both
-    # int forms are the same lottery
-    rule_sel, rule_w, rule_d = lottery.scaled
-    public_sel, public_w, public_d = public.scaled
-    assert public_sel == rule_sel
-    assert [F(w, public_d) for w in public_w] == [F(w, rule_d) for w in rule_w]
+    assert public.scaled == lottery.scaled
 
 
 def assert_cost_comparisons_match_fractions(instance, before, after):

@@ -108,6 +108,14 @@ def test_random_dictatorship_vote_tie_prefers_smaller_index():
     assert RD.apply(inst) == Randomized(((Deterministic((1,)), F(1)),))
 
 
+def test_random_dictatorship_votes_are_reduced():
+    # two votes each over n = 4 are kept as 1 and 1 over 2, the ints the
+    # public constructor gives the same lottery
+    outcome = RD.apply(line_instance((0, 0, 5, 5), (0, 5)))
+    assert outcome.scaled == (((1,), (2,)), (1, 1), 2)
+    assert outcome.scaled == Randomized(outcome.support).scaled
+
+
 def test_random_dictatorship_metric():
     inst = metric_instance(
         ((0, 5, 4), (5, 0, 3), (4, 3, 0)), agents=(1, 2), candidates=(2, 3), k=1
@@ -207,3 +215,14 @@ def test_spec_validation():
         MechanismSpec("dictator")
     with pytest.raises(MechanismMismatch):
         MechanismSpec("wpv")
+    # an argument the kind does not take is refused, not kept beside the
+    # kind's label, where it would break equality with the plain spec
+    for kind, extra in [
+        ("leftmost", {"dictator": 3}),
+        ("rd", {"weights": (F(1),)}),
+        ("dictator", {"dictator": 1, "weights": ("1",)}),
+        ("wpv", {"weights": (F(1),), "dictator": 1}),
+        ("median", {"dictator": 1, "weights": (F(1),)}),
+    ]:
+        with pytest.raises(MechanismMismatch, match="takes no"):
+            MechanismSpec(kind, **extra)

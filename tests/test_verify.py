@@ -31,6 +31,7 @@ from flgames.mechanisms import (
 from flgames.solver import INFINITE_RATIO, GuardExceeded, ratio
 from flgames.verify import (
     DeviationWitness,
+    _far_missing,
     check_anonymity,
     find_group_deviation,
     find_unilateral_deviation,
@@ -596,6 +597,34 @@ def test_replay_two_facility_pair():
     randomized = replay_lower_bound("two-randomized", TWO_EXTREMES, eps=F(1, 10))
     assert randomized.bound == 2
     assert not randomized.beats_bound
+
+
+def test_far_missing_is_the_mass_skipping_the_far_candidate():
+    lottery = Randomized((((1, 3), F(1, 3)), ((1, 2), F(1, 2)), ((2, 2), F(1, 6))))
+    for outcome in (Deterministic((1, 3)), Deterministic((2, 1)), lottery):
+        support = outcome.support if isinstance(outcome, Randomized) else ((outcome, F(1)),)
+        plain = sum((p for det, p in support if 3 not in det.selection), F(0))
+        assert _far_missing(outcome, 3) == plain
+    assert _far_missing(lottery, 3) == F(2, 3)
+
+
+class CountingRule:
+    """A rule that counts its apply calls."""
+
+    def __init__(self, rule):
+        self.rule, self.calls = rule, 0
+
+    def apply(self, instance):
+        self.calls += 1
+        return self.rule.apply(instance)
+
+
+def test_replay_applies_the_rule_once_per_profile():
+    for construction, rule in [("single-randomized", RD), ("two-deterministic", TWO_EXTREMES)]:
+        counting = CountingRule(rule)
+        report = replay_lower_bound(construction, counting, eps=F(1, 10))
+        assert counting.calls == 2
+        assert report == replay_lower_bound(construction, rule, eps=F(1, 10))
 
 
 def test_replay_rejects_bad_arguments():
