@@ -29,11 +29,13 @@ the rule answers with some k-multiset, so such a coalition cannot hold
 a witness, and the scan order and witnesses are unchanged.  Lotteries
 (rd, wpv) are not cut, because a mix of selections can help every
 member in expectation when no single selection does.  A lottery's
-member cost is an int over the lottery's denominator, read off the same
-table through its int form (Randomized.scaled), and is compared with the
-truthful one by cross-multiplication, so no Fraction is built until a
-witness is found; a shifted lottery equal to the truthful one fails the
-strict test, so there is no separate equality check.
+member cost is an int over the lottery's denominator, read through its
+int form (Randomized.scaled) from a per-search lookup of the member's
+cost for each selection, filled off the same table the first time a
+selection appears, and is compared with the truthful one by
+cross-multiplication, so no Fraction is built until a witness is found;
+a shifted lottery equal to the truthful one fails the strict test, so
+there is no separate equality check.
 
 On the line the search scales once: the agents, the candidates and the
 misreport set go to ints over one common denominator, and every profile
@@ -51,6 +53,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Optional
 
 from .core import (
@@ -167,12 +170,27 @@ def _choices(truthful: list[tuple], options: list[tuple], coalition: tuple) -> l
     return choices
 
 
-def _lowers(row: list[int], outcome: Outcome, cost: int, denominator: int) -> bool:
-    """Whether the outcome costs this row's agent strictly less than
-    cost / denominator, decided on ints by cross-multiplication, since
-    both denominators are positive."""
-    value, scale = row_cost(row, outcome)
-    return value * denominator < cost * scale
+class _SelectionCosts(dict):
+    """One agent's cost for each selection looked up, read off its row of
+    the table (core.row_cost) the first time that selection is asked for
+    and kept for the rest of the search."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: list[int]):
+        self.row = row
+
+    def __missing__(self, selection: tuple[int, ...]) -> int:
+        cost = self[selection] = row_cost(self.row, Deterministic._trusted(selection))[0]
+        return cost
+
+
+def _lowers(costs: _SelectionCosts, outcome: Outcome, cost: int, denominator: int) -> bool:
+    """Whether the outcome costs the agent whose selection costs these
+    are strictly less than cost / denominator, decided on ints by
+    cross-multiplication, since both denominators are positive."""
+    selections, weights, scale = outcome.scaled
+    return sum(map(mul, weights, map(costs.__getitem__, selections))) * denominator < cost * scale
 
 
 def find_group_deviation(
@@ -205,13 +223,17 @@ def find_group_deviation(
     strictly closer than the truthful outcome's for every member.  A
     coalition with no such selection is skipped without calling the
     rule, and for the rest, a shifted outcome is a witness exactly when
-    its selection is one of them.  Lotteries get no such cut, since a
-    lottery can lower every member's expected cost when no single
-    selection does.  A lottery's member cost is the int sum(w * min(row[j
-    - 1] for j in selection)) over its int form's denominator
-    (Randomized.scaled); the truthful one is computed once per member,
-    and a shifted one strictly improves exactly when, cross-multiplied
-    by the other's denominator, it is the smaller int.  A shifted lottery
+    its selection, in the order the rule reports it, is one of them in
+    some order.  Lotteries get no such cut, since a lottery can lower
+    every member's expected cost when no single selection does.  A
+    lottery's member cost is the int sum(w * min(row[j - 1] for j in
+    selection)) over its int form's denominator (Randomized.scaled).
+    The truthful one is computed once per member; for a shifted one,
+    each agent keeps one lookup per search from a selection to its
+    cost, filled off its row the first time the selection appears and
+    exact for any selection a rule returns, sorted or not.  A shifted
+    lottery strictly improves exactly when, cross-multiplied by the
+    other's denominator, its cost is the smaller int.  A shifted lottery
     equal to the truthful one fails that strict test for every member,
     so it is not compared separately.  Only a coalition with a member
     already at cost 0 is skipped.
@@ -247,11 +269,20 @@ def find_group_deviation(
     deterministic = isinstance(truthful, Deterministic)
     if deterministic:
         selections = list(candidate_multisets(instance, guard))
-        # per agent, the sorted selections that would strictly lower its cost
+        # per agent, every order of each selection that would strictly lower
+        # its cost, since a rule may report its facilities in any order
         gains = [
-            {sel for sel in selections if min(row[j - 1] for j in sel) < cost}
+            {
+                order
+                for sel in selections
+                if min(row[j - 1] for j in sel) < cost
+                for order in itertools.permutations(sel)
+            }
             for row, cost in zip(table, base_costs)
         ]
+    else:
+        # per agent, its cost for each selection a shifted lottery holds
+        costs = [_SelectionCosts(row) for row in table]
     # every agent outside the coalition keeps its one truthful report, so
     # product() yields whole profiles, the last member's report fastest
     truthful_choices = [(x,) for x in instance.agents]
@@ -276,10 +307,10 @@ def find_group_deviation(
             for profile, profile_scaled in zip(profiles, scaled):
                 shifted = mechanism.apply(Instance._trusted(instance, profile, profile_scaled))
                 if deterministic:
-                    if tuple(sorted(shifted.selection)) not in winning:
+                    if shifted.selection not in winning:
                         continue
                 elif not all(
-                    _lowers(table[i - 1], shifted, base_costs[i - 1], base_denominator)
+                    _lowers(costs[i - 1], shifted, base_costs[i - 1], base_denominator)
                     for i in coalition
                 ):
                     continue

@@ -40,7 +40,7 @@ from flgames.instances import (
 )
 from flgames.mechanisms import LEFTMOST, MEAN, MEDIAN, RD, TWO_EXTREMES, dictator_spec, wpv_spec
 from flgames.solver import OptResult, optimal
-from flgames.verify import _lowers
+from flgames.verify import _lowers, _SelectionCosts
 
 # ---------------------------------------------------------------------------
 # reference: each rule written directly on Fractions
@@ -426,14 +426,16 @@ def assert_lottery_matches_public_construction(lottery):
 
 def assert_cost_comparisons_match_fractions(instance, before, after):
     """For every agent, the search's test (after's cost strictly below
-    before's, cross-multiplied on ints) is the test on exact costs."""
+    before's, cross-multiplied on ints, after's read through a selection
+    cost lookup) is the test on exact costs."""
     for i, row in enumerate(distance_rows(instance), start=1):
         cost, denominator = row_cost(row, before)
         old, new = outcome_agent_cost(instance, before, i), outcome_agent_cost(instance, after, i)
         assert F(cost, denominator * cost_scale(instance)) == old
         assert old == ref_outcome_agent_cost(instance, before, i)
         assert new == ref_outcome_agent_cost(instance, after, i)
-        assert _lowers(row, after, cost, denominator) == (new < old), (i, before, after)
+        lowers = _lowers(_SelectionCosts(row), after, cost, denominator)
+        assert lowers == (new < old), (i, before, after)
 
 
 @st.composite
@@ -479,6 +481,47 @@ def test_lottery_int_form_and_cost_comparisons_match_fractions(case, data):
     for before, after in itertools.permutations((truthful, shifted, drawn), 2):
         assert_cost_comparisons_match_fractions(instance, before, after)
     assert_cost_comparisons_match_fractions(instance, truthful, truthful)
+
+
+@st.composite
+def pair_lotteries(draw, instance):
+    """A lottery over k=2 selections as a rule may report them: drawn
+    unsorted, with repeated candidates, and each pair also reversed."""
+    pair = st.tuples(st.integers(1, instance.m), st.integers(1, instance.m))
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
+    support = pairs + [p[::-1] for p in pairs]
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+    return Randomized(
+        tuple((Deterministic(sel), F(w, sum(weights))) for sel, w in zip(support, weights))
+    )
+
+
+@given(
+    instance=st.one_of(
+        line_instances(ks=(2,)), tie_instances(ks=(2,)), metric_instances(ks=(2,))
+    ),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_selection_cost_lookup_serves_a_whole_search(instance, data):
+    """The search keeps one lookup per agent for all the lotteries it
+    compares; reused across many drawn outcomes, each comparison is the
+    one on exact costs, and each kept cost is the selection's exact cost."""
+    table = distance_rows(instance)
+    lookups = [_SelectionCosts(row) for row in table]
+    before = data.draw(pair_lotteries(instance))
+    for _ in range(8):
+        after = data.draw(st.one_of(pair_lotteries(instance), outcomes(instance)))
+        for i, (row, costs) in enumerate(zip(table, lookups), start=1):
+            cost, denominator = row_cost(row, before)
+            old = ref_outcome_agent_cost(instance, before, i)
+            new = ref_outcome_agent_cost(instance, after, i)
+            assert _lowers(costs, after, cost, denominator) == (new < old), (i, before, after)
+    scale = cost_scale(instance)
+    for i, costs in enumerate(lookups, start=1):
+        assert costs
+        for selection, value in costs.items():
+            assert F(value, scale) == ref_agent_cost(instance, Deterministic(selection), i)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,16 @@ def test_random_dictatorship_votes_are_reduced():
     assert outcome.scaled == Randomized(outcome.support).scaled
 
 
+def test_random_dictatorship_line_votes_tie_to_the_smaller_index():
+    # equidistant from 2 and 0: the vote goes to index 1, the larger coordinate
+    assert RD.apply(line_instance((1,), (2, 0))).scaled == (((1,),), (1,), 1)
+    # coincident candidates: the vote goes to index 1 of the two
+    assert RD.apply(line_instance((3, -1), (0, 0))).scaled == (((1,),), (1,), 1)
+    # and on a metric, through the table rows
+    metric = metric_instance(((0, 1), (1, 0)), agents=(1, 2), candidates=(2, 2))
+    assert RD.apply(metric).scaled == (((1,),), (1,), 1)
+
+
 def test_random_dictatorship_metric():
     inst = metric_instance(
         ((0, 5, 4), (5, 0, 3), (4, 3, 0)), agents=(1, 2), candidates=(2, 3), k=1

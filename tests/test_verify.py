@@ -301,6 +301,22 @@ class MeanOrLeftmost:
 MEAN_OR_LEFTMOST = MeanOrLeftmost()
 
 
+class MeanAndMedianOrExtremes:
+    """A manipulable two-facility lottery built with the public
+    constructor: half on the mean and median rule's pair, half on
+    two-extremes' pair, each kept in the order its rule reports it, so
+    the selections come unsorted, repeated and, as (3, 1) beside (1, 3),
+    reversed."""
+
+    def apply(self, instance):
+        return Randomized(
+            ((MEAN_AND_MEDIAN.apply(instance), F(1, 2)), (TWO_EXTREMES.apply(instance), F(1, 2)))
+        )
+
+
+MEAN_AND_MEDIAN_OR_EXTREMES = MeanAndMedianOrExtremes()
+
+
 class Lockstep:
     """A rule that, before delegating, checks that the instance it is
     handed carries ints in step with its Fractions: the agents and the
@@ -341,6 +357,7 @@ FAMILY_CASES = (
     (end_weights(4), "line-uniform", 1),
     (MEAN_AND_MEDIAN, "line-uniform", 2),
     (MEAN_OR_LEFTMOST, "line-uniform", 1),
+    (MEAN_AND_MEDIAN_OR_EXTREMES, "line-uniform", 2),
     (Lockstep(MEAN), "line-uniform", 1),
     (Lockstep(RD), "line-uniform", 1),
 )
@@ -358,7 +375,8 @@ def tie_profiles(draw):
     agents = draw(st.lists(st.sampled_from(midpoints), min_size=3, max_size=4))
     rules = [LEFTMOST, MEDIAN, MEAN, dictator_spec(1), RD, end_weights(len(agents))]
     rules.append(MEAN_OR_LEFTMOST)
-    mechanism = draw(st.sampled_from(rules + [TWO_EXTREMES, MEAN_AND_MEDIAN]))
+    pairs = [TWO_EXTREMES, MEAN_AND_MEDIAN, MEAN_AND_MEDIAN_OR_EXTREMES]
+    mechanism = draw(st.sampled_from(rules + pairs))
     return mechanism, line_instance(agents, candidates, k=1 if mechanism in rules else 2)
 
 
@@ -367,12 +385,17 @@ def search_cases(draw):
     """A rule and an instance it is defined on.  The strawman mean runs on
     coarse line profiles, n=3-5, where it has witnesses at size 1 and,
     when no single lie pays, at size 2; so do the two-facility mean
-    and median rule and the mean-or-leftmost lottery."""
+    and median rule and both lotteries."""
     branch = draw(st.integers(0, 2))
     if branch == 0:
         agents = draw(st.lists(HALVES, min_size=3, max_size=5))
         candidates = draw(st.lists(HALVES, min_size=2, max_size=3))
-        rules = ((MEAN, 1), (MEAN_AND_MEDIAN, 2), (MEAN_OR_LEFTMOST, 1))
+        rules = (
+            (MEAN, 1),
+            (MEAN_AND_MEDIAN, 2),
+            (MEAN_OR_LEFTMOST, 1),
+            (MEAN_AND_MEDIAN_OR_EXTREMES, 2),
+        )
         mechanism, k = draw(st.sampled_from(rules))
         return mechanism, line_instance(agents, candidates, k=k)
     if branch == 1:
@@ -395,6 +418,18 @@ def test_one_search_loop_matches_both_reference_loops(case, max_coalition, grid_
     assert find_group_deviation(
         instance, mechanism, max_coalition, grid_points
     ) == reference_group(instance, mechanism, misreports, max_coalition)
+
+
+def test_pair_lottery_search_matches_the_reference_with_reversed_pairs():
+    inst = line_instance((F(7, 2), F(-1, 2), F(3, 2), F(-1, 2)), (F(-1, 2), 3, F(1, 2)), k=2)
+    rule = MEAN_AND_MEDIAN_OR_EXTREMES
+    assert rule.apply(inst).scaled == (((1, 2), (3, 1)), (1, 1), 2)
+    witness = find_group_deviation(inst, rule, max_coalition=2, grid_points=3)
+    assert witness == reference_group(inst, rule, misreport_set(inst, 3), 2)
+    assert witness.coalition == (1,) and witness.misreports == (F(15, 2),)
+    # the shifted lottery holds one pair in both orders
+    assert witness.outcome_after.scaled == (((1, 2), (2, 1)), (1, 1), 2)
+    assert witness.costs_before == (F(7, 4),) and witness.costs_after == (F(1, 2),)
 
 
 class CountingRule:
