@@ -39,10 +39,20 @@ which Randomized._canonical keeps as the lottery's only form
 (Randomized.scaled) once it has divided out their common factor.
 
 One table, RULES, gives each kind its rule, the number of facilities it
-opens and whether it is defined on the line only.  MechanismSpec reads
-it when a spec is built, so parse_mechanism rejects unknown names, and
-in apply, which checks the instance's space and k before calling the
-rule.  The specs are the public form of the rules.
+opens, whether it is defined on the line only, and its breakpoints.
+MechanismSpec reads it when a spec is built, so parse_mechanism rejects
+unknown names, in apply, which checks the instance's space and k before
+calling the rule, and in breakpoints.  The specs are the public form of
+the rules.
+
+The breakpoints column serves the deviation search on the line
+(MechanismSpec.breakpoints): for each coalition member, the doubled
+points at which its report can change the outcome.  Every rule but mean
+reads only the candidates nearest some reports or their order
+statistics, so its breakpoints are the adjacent distinct candidate
+midpoints, for every member (for dictator:i, member i only).  mean moves
+them by the other agents' sum for a single agent, and declares None,
+every report tried, for a larger coalition.
 """
 
 from __future__ import annotations
@@ -164,15 +174,50 @@ def _mean(instance: Instance, spec: MechanismSpec) -> Deterministic:
     )
 
 
-# kind -> (rule, facilities it opens, defined on the line only)
+# ---------------------------------------------------------------------------
+# the breakpoints; each takes (spec, agents, candidates, coalition), see
+# MechanismSpec.breakpoints
+
+
+def _midpoints(candidates) -> list[int]:
+    """The doubled midpoints of adjacent distinct candidate coordinates,
+    ascending: nearest-candidate, either tie rule, is constant between
+    two of them and at each."""
+    ys = sorted(set(candidates))
+    return [a + b for a, b in zip(ys, ys[1:])]
+
+
+def _nearest_breakpoints(spec, agents, candidates, coalition) -> list:
+    # the rule reads the nearest candidate to order statistics of the
+    # reports (to each report, for rd); the k-th smallest report lies in the
+    # k-th smallest of the reports' midpoint cells, so fixing every member's
+    # cell fixes the outcome, wherever the other agents are
+    return [_midpoints(candidates)] * len(coalition)
+
+
+def _dictator_breakpoints(spec, agents, candidates, coalition) -> list:
+    return [_midpoints(candidates) if i == spec.dictator else [] for i in coalition]
+
+
+def _mean_breakpoints(spec, agents, candidates, coalition) -> Optional[list]:
+    # the sum S_-i + r crosses n times a midpoint at r = n * mid - S_-i; two
+    # members' reports move one sum, so their cells are not a product
+    if len(coalition) > 1:
+        return None
+    (i,) = coalition
+    n, others = len(agents), 2 * (sum(agents) - agents[i - 1])
+    return [[n * mid - others for mid in _midpoints(candidates)]]
+
+
+# kind -> (rule, facilities it opens, defined on the line only, breakpoints)
 RULES = {
-    "leftmost": (_leftmost, 1, True),
-    "dictator": (_dictator, 1, False),
-    "two-extremes": (_two_extremes, 2, True),
-    "median": (_median, 1, True),
-    "rd": (_random_dictatorship, 1, False),
-    "wpv": (_wpv, 1, True),
-    "mean": (_mean, 1, True),
+    "leftmost": (_leftmost, 1, True, _nearest_breakpoints),
+    "dictator": (_dictator, 1, False, _dictator_breakpoints),
+    "two-extremes": (_two_extremes, 2, True, _nearest_breakpoints),
+    "median": (_median, 1, True, _nearest_breakpoints),
+    "rd": (_random_dictatorship, 1, False, _nearest_breakpoints),
+    "wpv": (_wpv, 1, True, _nearest_breakpoints),
+    "mean": (_mean, 1, True, _mean_breakpoints),
 }
 
 
@@ -225,9 +270,21 @@ class MechanismSpec:
             return "wpv:" + ",".join(str(w) for w in self.weights)
         return self.kind
 
+    def breakpoints(self, agents, candidates, coalition) -> Optional[list]:
+        """Per member of the coalition (1-based indices), the sorted
+        doubled ints at which that member's report can change the rule's
+        outcome on the line, or None if every report must be tried.
+
+        The breakpoints cut the line into cells: the open gaps between
+        them and each breakpoint on its own.  While every other agent
+        reports its location, the outcome is the same for all joint
+        reports that put each member in the same cell.  agents and
+        candidates are the true locations as ints over one scale."""
+        return RULES[self.kind][3](self, agents, candidates, coalition)
+
     def apply(self, instance: Instance) -> Outcome:
         name = self.kind
-        rule, k, line_only = RULES[name]
+        rule, k, line_only, _ = RULES[name]
         if line_only and not isinstance(instance.space, Line):
             raise MechanismMismatch(f"{name} is defined on the line only")
         if instance.k != k:

@@ -21,6 +21,26 @@ then lexicographic agent indices (so single agents ascending first),
 joint misreports in product order with the last member's report
 varying fastest, each member's reports ascending.
 
+On the line most joint reports need no rule call.  With the other
+agents reporting their locations, every line rule's outcome is
+piecewise-constant in a coalition member's report, changing only at
+finitely many points (Moulin 1980, "On strategy-proofness and
+single-peakedness"; Schummer & Vohra 2002, "Strategy-proof location on
+a network").  A rule that declares those points for each member
+(MechanismSpec.breakpoints) cuts the line, per member, into cells: the
+open gaps between the points and each point on its own, such that all
+joint reports putting every member in the same cell have one outcome.
+The search then tries, for each member, only the first of its options
+in each cell, ascending.  This returns the same witness: replacing each
+member's report in the first witness by the first option of its cell
+gives a profile with the same outcome, so a witness too, and no later
+in scan order, so the first witness itself.  It is therefore a profile
+of first options, and the reduced scan meets it after exactly the
+profiles of first options the full scan meets before it.  A clean
+result still covers every joint report the count names; only the rule
+calls fall.  A rule that declares nothing, and every rule on a finite
+metric, is handed every joint report.
+
 The search costs every outcome on the core's integer cost table of the
 true agents (distance_rows).  For a deterministic rule it first cuts
 every coalition for which no k-multiset of candidates lowers every
@@ -50,6 +70,7 @@ difference, sum and order comparison.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -161,13 +182,25 @@ class DeviationWitness:
     costs_after: tuple[Fraction, ...]
 
 
-def _choices(truthful: list[tuple], options: list[tuple], coalition: tuple) -> list[tuple]:
-    """Per agent, the reports product() walks: a member's options, and
+def _choices(truthful: list[tuple], coalition: tuple, members: list[tuple]) -> list[tuple]:
+    """Per agent, the reports product() walks: each member's options, and
     every other agent's one truthful report."""
     choices = truthful[:]
-    for i in coalition:
-        choices[i - 1] = options[i - 1]
+    for i, options in zip(coalition, members):
+        choices[i - 1] = options
     return choices
+
+
+def _cell_firsts(options: tuple[int, ...], breakpoints) -> list[int]:
+    """Indices, ascending, of the first of the ascending int options in
+    each cell that the doubled breakpoints cut the line into: the gaps
+    below, between and above them, and each breakpoint on its own.  An
+    empty cell has none."""
+    starts = {0}
+    for b in breakpoints:
+        starts.add(bisect_left(options, -(-b // 2)))  # first v with 2v >= b
+        starts.add(bisect_right(options, b // 2))  # first v with 2v > b
+    return sorted(d for d in starts if d < len(options))
 
 
 class _SelectionCosts(dict):
@@ -237,6 +270,16 @@ def find_group_deviation(
     equal to the truthful one fails that strict test for every member,
     so it is not compared separately.  Only a coalition with a member
     already at cost 0 is skipped.
+
+    On the line, a mechanism with a breakpoints method declares, per
+    coalition, where each member's report can change its outcome (None:
+    anywhere).  The outcome is then the same on each joint cell (Moulin
+    1980; Schummer & Vohra 2002), so each member tries only its first
+    option in each cell, found by bisecting its ascending int options.
+    Moving every member of the first witness in scan order to the first
+    option of its cell keeps the outcome and is no later in scan order,
+    so that witness is made of first options, and the search returns it,
+    or None, exactly as trying every joint report would.
     """
     n = instance.n
     points = misreport_set(instance, grid_points, guard, max_coalition)
@@ -283,6 +326,9 @@ def find_group_deviation(
     else:
         # per agent, its cost for each selection a shifted lottery holds
         costs = [_SelectionCosts(row) for row in table]
+    # a rule that declares no breakpoints, or any rule off the line, is
+    # handed every joint report
+    declared = getattr(mechanism, "breakpoints", None) if line else None
     # every agent outside the coalition keeps its one truthful report, so
     # product() yields whole profiles, the last member's report fastest
     truthful_choices = [(x,) for x in instance.agents]
@@ -295,15 +341,25 @@ def find_group_deviation(
             elif any(base_costs[i - 1] == 0 for i in coalition):
                 # a member already at cost 0 can never strictly improve
                 continue
-            profiles = itertools.product(*_choices(truthful_choices, options, coalition))
+            members = [options[i - 1] for i in coalition]
             if line:
+                int_members = [int_options[i - 1] for i in coalition]
+                cells = declared(agent_ints, candidate_ints, coalition) if declared else None
+                if cells is not None:
+                    # each member's first option in each of its cells
+                    firsts = [_cell_firsts(o, b) for o, b in zip(int_members, cells)]
+                    members, int_members = (
+                        [tuple(map(o.__getitem__, f)) for o, f in zip(opts, firsts)]
+                        for opts in (members, int_members)
+                    )
                 # the same choices as ints, index for index, walked in
                 # lockstep, so each profile arrives with its own ints and
                 # the search's scale
-                int_profiles = itertools.product(*_choices(int_truthful, int_options, coalition))
+                int_profiles = itertools.product(*_choices(int_truthful, coalition, int_members))
                 scaled = zip(int_profiles, *carried)
             else:
                 scaled = itertools.repeat(None)
+            profiles = itertools.product(*_choices(truthful_choices, coalition, members))
             for profile, profile_scaled in zip(profiles, scaled):
                 shifted = mechanism.apply(Instance._trusted(instance, profile, profile_scaled))
                 if deterministic:

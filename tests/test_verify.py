@@ -11,6 +11,7 @@ from flgames.core import (
     line_instance,
     metric_instance,
     outcome_agent_cost,
+    scale_to_integers,
 )
 from flgames.instances import (
     PaperConstruction,
@@ -31,6 +32,7 @@ from flgames.mechanisms import (
 from flgames.solver import INFINITE_RATIO, GuardExceeded, ratio
 from flgames.verify import (
     DeviationWitness,
+    _cell_firsts,
     _far_missing,
     check_anonymity,
     find_group_deviation,
@@ -340,6 +342,16 @@ class Lockstep:
         return self.rule.apply(instance)
 
 
+class DeclaringLockstep(Lockstep):
+    """Lockstep that forwards the wrapped rule's breakpoints, if it
+    declares any, so the search tries one report per cell, as it does
+    for the rule itself."""
+
+    def breakpoints(self, agents, candidates, coalition):
+        declared = getattr(self.rule, "breakpoints", None)
+        return declared and declared(agents, candidates, coalition)
+
+
 def end_weights(n):
     """wpv weights with zero entries: half on each extreme agent."""
     return wpv_spec([F(1, 2)] + [F(0)] * (n - 2) + [F(1, 2)])
@@ -452,9 +464,15 @@ def test_search_skips_coalitions_no_selection_can_help_but_not_lotteries():
         counting = CountingRule(rule)
         assert find_group_deviation(inst, counting, max_coalition=3, grid_points=3) is None
         assert counting.calls == 1
+    # a rule that declares no breakpoints is handed every joint report
     lottery = CountingRule(RD)
     assert find_group_deviation(inst, lottery, max_coalition=3, grid_points=3) is None
     assert lottery.calls == 1 + joint_misreport_count(inst.n, len(misreports) - 1, 3)
+    # rd declares only candidate midpoints, so with one candidate every
+    # member's reports make one cell: one call per coalition
+    declaring = DeclaringLockstep(RD)
+    assert find_group_deviation(inst, declaring, max_coalition=3, grid_points=3) is None
+    assert declaring.calls == 1 + 7
 
 
 @st.composite
@@ -470,9 +488,11 @@ def count_cases(draw):
 @given(case=count_cases(), grid_points=st.integers(0, 5))
 @settings(max_examples=100, deadline=None)
 def test_count_is_the_work_of_an_uncut_search(case, grid_points):
-    """rd is cut only at a member whose truthful cost is 0, so with none
-    such a clean search applies the rule once truthfully and once per
-    joint report the closed form counts."""
+    """A rule that declares no breakpoints, such as CountingRule, is
+    handed every joint report, and a lottery's coalitions are skipped
+    only at a member whose truthful cost is 0, so with none such a clean
+    search applies the rule once truthfully and once per joint report
+    the closed form counts."""
     instance, max_coalition = case
     truthful = RD.apply(instance)
     assume(all(outcome_agent_cost(instance, truthful, i) > 0 for i in range(1, instance.n + 1)))
@@ -489,19 +509,102 @@ def test_count_is_the_work_of_an_uncut_search(case, grid_points):
 
 def test_every_profile_arrives_with_its_own_ints():
     family = random_instance(RandomFamily("line-uniform", n=4, m=3, k=1, seed=7), 3)
-    for rule, inst, calls in (
-        # rd is never cut, so the rule sees every joint report
-        (RD, family, 3439),
-        (LEFTMOST, family, 100),
+    pair = line_instance((F(-1, 3), F(1, 7), 2, F(5, 2)), (0, F(1, 2), 3), k=2)
+    for wrapper, rule, inst, calls in (
+        # Lockstep declares no breakpoints, so the lottery rd, whose
+        # coalitions are never cut here, sees every joint report
+        (Lockstep, RD, family, 3439),
+        (Lockstep, LEFTMOST, family, 100),
         # the pair trap's witness comes at size 2
-        (MEAN, PAIR_TRAP, 64),
-        (MEAN_AND_MEDIAN, line_instance((F(-1, 3), F(1, 7), 2, F(5, 2)), (0, F(1, 2), 3), k=2), 10),
+        (Lockstep, MEAN, PAIR_TRAP, 64),
+        (Lockstep, MEAN_AND_MEDIAN, pair, 10),
+        # the same searches, one report per member and cell: the first
+        # report of each cell arrives with its own ints and the scale
+        (DeclaringLockstep, RD, family, 175),
+        (DeclaringLockstep, LEFTMOST, family, 16),
+        (DeclaringLockstep, MEAN, PAIR_TRAP, 52),
+        (DeclaringLockstep, MEAN_AND_MEDIAN, pair, 10),
     ):
         misreports = misreport_set(inst, grid_points=3)
-        lockstep = Lockstep(rule)
+        lockstep = wrapper(rule)
         witness = find_group_deviation(inst, lockstep, max_coalition=3, grid_points=3)
         assert witness == reference_group(inst, rule, misreports, 3)
-        assert lockstep.calls == calls
+        assert lockstep.calls == calls, (wrapper, rule, lockstep.calls)
+
+
+# every kind that declares breakpoints, by n: wpv with uniform weights and
+# with zero weights, and mean, which declares them for single agents only
+DECLARING = (
+    lambda n: LEFTMOST,
+    lambda n: MEDIAN,
+    lambda n: TWO_EXTREMES,
+    lambda n: dictator_spec(1),
+    lambda n: dictator_spec(2),
+    lambda n: RD,
+    lambda n: wpv_spec([F(1, n)] * n),
+    end_weights,
+    lambda n: MEAN,
+)
+
+
+@st.composite
+def cell_cases(draw):
+    """A rule that declares breakpoints, a line instance with n >= 2 it is
+    defined on, a coalition of up to 3 members, their reports and the
+    points those are drawn from: the misreport set, every candidate
+    midpoint and, for a single member, every report at which the mean
+    sits on a candidate midpoint.  The set holds every candidate and
+    every other agent's location.  Instances come from A5's families,
+    from coarse halves and, for half the draws, from tie_profiles."""
+    branch = draw(st.integers(0, 3))
+    if branch == 0:
+        n, m = draw(st.sampled_from(((5, 4), (4, 3))))
+        family = RandomFamily("line-uniform", n=n, m=m, seed=draw(st.sampled_from((201, 203))))
+        instance = random_instance(family, draw(st.integers(0, 999)))
+    elif branch == 1:
+        agents = draw(st.lists(HALVES, min_size=2, max_size=5))
+        instance = line_instance(agents, draw(st.lists(HALVES, min_size=1, max_size=4)))
+    else:
+        instance = draw(tie_profiles())[1]
+    rule = draw(st.sampled_from(DECLARING))(instance.n)
+    instance = line_instance(instance.agents, instance.candidates, k=2 if rule is TWO_EXTREMES else 1)
+    coalition = tuple(sorted(draw(st.sets(st.integers(1, instance.n), min_size=1, max_size=3))))
+    points = set(misreport_set(instance, draw(st.sampled_from((0, 1, 3, 5)))))
+    ys = instance.candidates
+    midpoints = {(a + b) / 2 for a in ys for b in ys}
+    points |= midpoints
+    if len(coalition) == 1:
+        others = sum(instance.agents) - instance.agents[coalition[0] - 1]
+        points |= {instance.n * mid - others for mid in midpoints}
+    points = tuple(sorted(points))
+    reports = tuple(draw(st.sampled_from(points)) for _ in coalition)
+    return rule, instance, coalition, reports, points
+
+
+@given(case=cell_cases())
+# the median agent on a candidate midpoint, where the tie rule decides,
+# while the member's move to the first point of its gap shifts the mean
+@example(case=(MEDIAN, line_instance((0, 1, 3), (0, 2)), (3,), (3,), (-1, 0, 1, 2, 3)))
+@settings(max_examples=400, deadline=None)
+def test_outcome_is_constant_on_each_declared_cell(case):
+    """The lemma behind the search's one report per cell: replacing each
+    member's report by the first point of its cell keeps the outcome."""
+    rule, instance, coalition, reports, points = case
+    _, ints = scale_to_integers(instance.agents + instance.candidates + points)
+    n, m = instance.n, instance.m
+    cells = rule.breakpoints(ints[:n], ints[n : n + m], coalition)
+    if cells is None:
+        assert rule is MEAN and len(coalition) > 1
+        return
+    point_ints = tuple(ints[n + m :])
+    profile, firsts = list(instance.agents), list(instance.agents)
+    for i, report, breakpoints in zip(coalition, reports, cells):
+        assert list(breakpoints) == sorted(breakpoints)
+        at = points.index(report)
+        profile[i - 1] = report
+        firsts[i - 1] = points[max(d for d in _cell_firsts(point_ints, breakpoints) if d <= at)]
+    outcome = rule.apply(instance.replace_agents(profile))
+    assert rule.apply(instance.replace_agents(firsts)) == outcome
 
 
 def test_anonymity_of_anonymous_rules():
