@@ -182,7 +182,7 @@ def distance(space: Space, a, b) -> Fraction:
 # instances
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Instance:
     """A profile of agent locations, a candidate set, and a facility count.
 
@@ -191,86 +191,110 @@ class Instance:
     facilities to open, at most two; opening both facilities on the same
     candidate is allowed.
 
-    On the line, `scaled` holds the agents and the candidates as ints
-    over one common denominator, and that denominator: (agent ints,
-    candidate ints, scale), computed once here so that every mechanism
-    and every cost reads ints without rescaling.  Multiplying by one
-    positive scale keeps every difference, sum and order comparison, so
-    a decision on the ints is the decision on the Fractions.  On a finite
-    metric it is None: the space's `scaled` matrix and `scale` serve.  It
-    takes no part in equality, hashing or repr.
+    An instance stores its locations once, as ints.  On the line that is
+    `scaled`: the agents and the candidates as ints over one common
+    positive denominator, and that denominator, (agent ints, candidate
+    ints, scale), so that every mechanism and every cost reads ints
+    without rescaling.  Multiplying by one positive scale keeps every
+    difference, sum and order comparison, so a decision on the ints is
+    the decision on the Fractions.  `agents` and `candidates` are those
+    Fractions, built when read.  On a finite metric `points` holds the
+    point indices, (agents, candidates), and `scaled` is None: the
+    space's `scaled` matrix and `scale` serve.  Equality, hashing and
+    repr read (space, agents, candidates, k), so the scale, which a
+    search may leave unreduced, takes no part in them.
     """
 
     space: Space
-    agents: tuple
-    candidates: tuple
     k: int
-    scaled: Optional[tuple[tuple[int, ...], tuple[int, ...], int]] = field(
-        init=False, compare=False, repr=False
-    )
+    scaled: Optional[tuple[tuple[int, ...], tuple[int, ...], int]] = None
+    points: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
-    def __post_init__(self):
-        if isinstance(self.space, Line):
-            agents = tuple(parse_scalar(x) for x in self.agents)
-            candidates = tuple(parse_scalar(y) for y in self.candidates)
+    def __init__(self, space: Space, agents, candidates, k: int):
+        if isinstance(space, Line):
+            agents = [parse_scalar(x) for x in agents]
+            candidates = [parse_scalar(y) for y in candidates]
             scale, ints = scale_to_integers(agents + candidates)
-            scaled = (tuple(ints[: len(agents)]), tuple(ints[len(agents) :]), scale)
+            n = len(agents)
+            self.__dict__["scaled"] = (tuple(ints[:n]), tuple(ints[n:]), scale)
         else:
-            scaled = None
-            agents = tuple(self.agents)
-            candidates = tuple(self.candidates)
-            p = self.space.size
+            agents, candidates = tuple(agents), tuple(candidates)
+            p = space.size
             for x in agents + candidates:
                 if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= p:
                     raise ValueError(f"not a point of the {p}-point space: {x!r}")
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "scaled", scaled)
+            self.__dict__["points"] = (agents, candidates)
         if not agents:
             raise ValueError("an instance needs at least one agent")
         if not candidates:
             raise ValueError("an instance needs at least one candidate")
-        if type(self.k) is not int or self.k not in (1, 2):
-            raise ValueError(f"facility count must be 1 or 2, got {self.k}")
+        if type(k) is not int or k not in (1, 2):
+            raise ValueError(f"facility count must be 1 or 2, got {k}")
+        self.__dict__.update(space=space, k=k)
+
+    def _location(self, side: int, index: int):
+        """The agent (side 0) or candidate (side 1) at 0-based index: a
+        Fraction built from the int form on the line, a point index on a
+        finite metric."""
+        if self.scaled is None:
+            return self.points[side][index]
+        return Fraction(self.scaled[side][index], self.scaled[2])
+
+    @property
+    def agents(self) -> tuple:
+        return tuple(self._location(0, t) for t in range(self.n))
+
+    @property
+    def candidates(self) -> tuple:
+        return tuple(self._location(1, t) for t in range(self.m))
 
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return len((self.scaled or self.points)[0])
 
     @property
     def m(self) -> int:
-        return len(self.candidates)
+        return len((self.scaled or self.points)[1])
 
     def agent(self, i: int):
         if not 1 <= i <= self.n:
             raise IndexError(f"agent index out of range: {i}")
-        return self.agents[i - 1]
+        return self._location(0, i - 1)
 
     def candidate(self, j: int):
         if not 1 <= j <= self.m:
             raise IndexError(f"candidate index out of range: {j}")
-        return self.candidates[j - 1]
+        return self._location(1, j - 1)
+
+    def _key(self) -> tuple:
+        return self.space, self.agents, self.candidates, self.k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Instance(space={!r}, agents={!r}, candidates={!r}, k={!r})".format(*self._key())
 
     def replace_agents(self, agents: Sequence) -> "Instance":
         return Instance(self.space, tuple(agents), self.candidates, self.k)
 
     @classmethod
-    def _trusted(cls, template: "Instance", agents: tuple, scaled) -> "Instance":
-        """The template with this agent profile, taken as is: a tuple of
-        points of its space, and `scaled` the profile's ints, the
-        candidates' ints and the one scale they share (None on a finite
-        metric).  For callers that draw every report from a validated set
-        and scale the lot once; replace_agents keeps every check."""
+    def _trusted(cls, template: "Instance", stored: tuple) -> "Instance":
+        """The template with another agent profile, given in the form the
+        template stores and taken as is: on the line the int form (agent
+        ints, the template's candidates as ints, and their one positive
+        scale, reduced or not), on a finite metric (agent points, candidate
+        points).  For callers that draw every report from a validated set;
+        replace_agents keeps every check."""
         inst = object.__new__(cls)
-        # one dict update sets the frozen fields, as object.__setattr__
-        # would one at a time
-        inst.__dict__.update(
-            space=template.space,
-            agents=agents,
-            candidates=template.candidates,
-            k=template.k,
-            scaled=scaled,
-        )
+        # dict writes set the frozen fields, as object.__setattr__ would
+        inst.__dict__.update(space=template.space, k=template.k)
+        inst.__dict__["points" if template.scaled is None else "scaled"] = stored
         return inst
 
 
@@ -394,8 +418,8 @@ def distance_rows(instance: Instance, indices: Optional[Sequence[int]] = None) -
         agents, candidates, _ = instance.scaled
         return [[abs(c - agents[i - 1]) for c in candidates] for i in indices]
     rows = instance.space.scaled
-    agents = instance.agents
-    return [[rows[agents[i - 1] - 1][c - 1] for c in instance.candidates] for i in indices]
+    agents, candidates = instance.points
+    return [[rows[agents[i - 1] - 1][c - 1] for c in candidates] for i in indices]
 
 
 def cost_scale(instance: Instance) -> int:
@@ -436,7 +460,8 @@ def outcome_cost(instance: Instance, outcome: Outcome, objective: str) -> Fracti
 def outcome_agent_cost(instance: Instance, outcome: Outcome, i: int) -> Fraction:
     """Agent i's distance to its nearest selected facility, in
     expectation if randomized."""
-    instance.agent(i)  # IndexError outside 1..n, where a row read would wrap
+    if not 1 <= i <= instance.n:  # where a row read would wrap
+        raise IndexError(f"agent index out of range: {i}")
     cost, denominator = row_cost(distance_rows(instance, (i,))[0], outcome)
     return Fraction(cost, denominator * cost_scale(instance))
 
@@ -445,4 +470,6 @@ def permute_agents(instance: Instance, permutation: Sequence[int]) -> Instance:
     """Reorder the agent profile: new agent i is old agent permutation[i-1]."""
     if sorted(permutation) != list(range(1, instance.n + 1)):
         raise ValueError(f"not a permutation of 1..{instance.n}: {permutation}")
-    return instance.replace_agents(tuple(instance.agents[p - 1] for p in permutation))
+    # the same locations in another order, so the stored form, scale and all
+    agents, *rest = instance.scaled or instance.points
+    return Instance._trusted(instance, (tuple(agents[p - 1] for p in permutation), *rest))

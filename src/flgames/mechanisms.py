@@ -26,10 +26,11 @@ Coordinate ties between candidates at the same location fall back to
 the smaller index; the selected location is unaffected.
 
 Every rule decides on Python ints, and none of them rescales.  A line
-instance carries its agents and candidates as ints over one common
-denominator (Instance.scaled), computed once when it is validated, or
-once per search for every profile the deviation search tries; a finite
-metric keeps its distance matrix scaled the same way.  Multiplying by
+instance is stored as its agents and candidates as ints over one common
+denominator (Instance.scaled), computed once when it is validated; the
+deviation search builds every profile it tries in that form directly,
+over its own scale; a finite metric keeps its distance matrix scaled the
+same way.  Multiplying by
 one positive constant keeps every difference, sum and order comparison,
 so each decision, tie rules included, is exactly the one the rational
 definition gives.  Outcomes stay exact: a rule builds each selection

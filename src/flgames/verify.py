@@ -46,9 +46,12 @@ true agents (distance_rows).  For a deterministic rule it first cuts
 every coalition for which no k-multiset of candidates lowers every
 member's cost strictly.  This is exact: whatever the members report,
 the rule answers with some k-multiset, so such a coalition cannot hold
-a witness, and the scan order and witnesses are unchanged.  Lotteries
-(rd, wpv) are not cut, because a mix of selections can help every
-member in expectation when no single selection does.  A lottery's
+a witness, and the scan order and witnesses are unchanged.  For the
+rest, a shifted outcome is a witness exactly when its selection, in the
+order the rule reports it, is one of those multisets in some order.
+Lotteries (rd, wpv) are not cut, because a mix of selections can help
+every member in expectation when no single selection does; only a
+coalition with a member already at cost 0 is skipped.  A lottery's
 member cost is an int over the lottery's denominator, read through its
 int form (Randomized.scaled) from a per-search lookup of the member's
 cost for each selection, filled off the same table the first time a
@@ -57,14 +60,15 @@ cross-multiplication, so no Fraction is built until a witness is found;
 a shifted lottery equal to the truthful one fails the strict test, so
 there is no separate equality check.
 
-On the line the search scales once: the agents, the candidates and the
-misreport set go to ints over one common denominator, and every profile
-it tries reaches the rule as a Fraction instance that carries the same
-profile as those ints, and their denominator, in one value
-(Instance.scaled).  The rule's decisions are then made without
-rescaling, and they are the decisions on the Fractions, because
-multiplying every location by one positive scale keeps every
-difference, sum and order comparison.
+Every profile the search tries reaches the rule in the form an
+instance stores (Instance._trusted).  On the line the misreport set is
+built on ints: the instance's int form is multiplied by
+max(grid_points - 1, 1), which every grid step divides, and each
+profile is a tuple of those ints beside the candidates' ints and that
+one scale.  Multiplying every location by one positive scale keeps
+every difference, sum and order comparison, so each decision is the
+one the Fractions give; a witness's misreports are the only locations
+built as Fractions.
 """
 
 from __future__ import annotations
@@ -80,14 +84,12 @@ from typing import Optional
 from .core import (
     Deterministic,
     Instance,
-    Line,
     Outcome,
     distance_rows,
     outcome_agent_cost,
     outcome_cost,
     permute_agents,
     row_cost,
-    scale_to_integers,
     validate_objective,
 )
 from .instances import PaperConstruction, RandomFamily, build_paper_instance, random_instance
@@ -137,32 +139,46 @@ def misreport_set(
     must refuse: the grid's points are distinct, so the search tries at
     least joint_misreport_count(n, grid_points - 1, max_coalition)
     joint reports."""
+    points, stored = _misreports(instance, grid_points, guard, max_coalition)
+    if instance.scaled is None:
+        return points
+    return tuple(Fraction(v, stored[2]) for v in points)
+
+
+def _misreports(instance: Instance, grid_points: int, guard: int, max_coalition: int):
+    """misreport_set's checks, then its reports and the locations they go
+    with, both in the form an instance stores (Instance._trusted): on the
+    line ints over one scale (_line_grid), on a finite metric the points
+    and the instance's (agents, candidates)."""
     if type(grid_points) is not int or grid_points < 0:
         raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
     # counted on every space, so max_coalition's range is checked there too;
     # clamped at 0: for grid_points <= 1 a negative base would alternate in sign
     least = joint_misreport_count(instance.n, max(grid_points - 1, 0), max_coalition)
-    if not isinstance(instance.space, Line):
-        return tuple(range(1, instance.space.size + 1))
+    if instance.scaled is None:
+        return tuple(range(1, instance.space.size + 1)), instance.points
     if least > guard:
         raise GuardExceeded(f"{grid_points}-point grid exceeds the guard of {guard}")
-    # On ints over the locations' common denominator times grid_points - 1
-    # every grid step divides exactly, and a span of 1 is `scale`; only a
-    # grid point that is no location becomes a new Fraction.
-    locations = instance.agents + instance.candidates
+    return _line_grid(instance.scaled, grid_points)
+
+
+def _line_grid(scaled, grid_points: int):
+    """The line's misreport set as ascending ints, and the int form
+    (agent ints, candidate ints, scale) it is read against: `scaled`
+    rescaled by grid_points - 1 (at least 1), so that every grid step
+    divides exactly and a span of 1 is the new scale."""
+    agents, candidates, scale = scaled
     factor = max(grid_points - 1, 1)
-    scale, ints = scale_to_integers(locations)
+    agents = tuple(v * factor for v in agents)
+    candidates = tuple(v * factor for v in candidates)
     scale *= factor
-    points = {v * factor: x for v, x in zip(ints, locations)}
-    lo, hi = min(points), max(points)
+    locations = agents + candidates
+    lo, hi = min(locations), max(locations)
     span = max(hi - lo, scale)
     start = lo - span
     step = (hi + span - start) // factor
-    for t in range(grid_points):
-        v = start + t * step
-        if v not in points:
-            points[v] = Fraction(v, scale)
-    return tuple(points[v] for v in sorted(points))
+    points = set(locations).union(start + t * step for t in range(grid_points))
+    return tuple(sorted(points)), (agents, candidates, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -239,71 +255,21 @@ def find_group_deviation(
 
     Members reporting truthfully are not enumerated: a witness with an
     idle member implies a smaller-coalition witness, which the
-    size-ascending scan finds first.  The search always searches
-    misreport_set(instance, grid_points, guard, max_coalition), which
-    holds every agent's true location, and each agent tries every point
-    of it but its own.  Raises what misreport_set raises, then
-    GuardExceeded if the total number of joint reports to try,
+    size-ascending scan finds first.  Each agent tries every point of
+    misreport_set(instance, grid_points, guard, max_coalition) but its
+    own location.  Raises what misreport_set raises, then GuardExceeded
+    if the total number of joint reports to try,
     joint_misreport_count(n, len(set) - 1, max_coalition), exceeds the
     guard, and then, for a deterministic rule, if the candidate
     multisets the cut enumerates do.
-
-    Costs are read off one table of the true agents' distances to the
-    candidates, as ints over one common denominator; Fractions are built
-    only for a witness.  When the truthful outcome is deterministic, the
-    rule's every outcome is a k-multiset of candidates, so a coalition
-    can gain only through a selection whose nearest candidate is
-    strictly closer than the truthful outcome's for every member.  A
-    coalition with no such selection is skipped without calling the
-    rule, and for the rest, a shifted outcome is a witness exactly when
-    its selection, in the order the rule reports it, is one of them in
-    some order.  Lotteries get no such cut, since a lottery can lower
-    every member's expected cost when no single selection does.  A
-    lottery's member cost is the int sum(w * min(row[j - 1] for j in
-    selection)) over its int form's denominator (Randomized.scaled).
-    The truthful one is computed once per member; for a shifted one,
-    each agent keeps one lookup per search from a selection to its
-    cost, filled off its row the first time the selection appears and
-    exact for any selection a rule returns, sorted or not.  A shifted
-    lottery strictly improves exactly when, cross-multiplied by the
-    other's denominator, its cost is the smaller int.  A shifted lottery
-    equal to the truthful one fails that strict test for every member,
-    so it is not compared separately.  Only a coalition with a member
-    already at cost 0 is skipped.
-
-    On the line, a mechanism with a breakpoints method declares, per
-    coalition, where each member's report can change its outcome (None:
-    anywhere).  The outcome is then the same on each joint cell (Moulin
-    1980; Schummer & Vohra 2002), so each member tries only its first
-    option in each cell, found by bisecting its ascending int options.
-    Moving every member of the first witness in scan order to the first
-    option of its cell keeps the outcome and is no later in scan order,
-    so that witness is made of first options, and the search returns it,
-    or None, exactly as trying every joint report would.
     """
     n = instance.n
-    points = misreport_set(instance, grid_points, guard, max_coalition)
+    points, stored = _misreports(instance, grid_points, guard, max_coalition)
     total = joint_misreport_count(n, len(points) - 1, max_coalition)
     if total > guard:
         raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
-    line = isinstance(instance.space, Line)
-    if line:
-        # one scale for every profile the search tries: the agents, the
-        # candidates and the misreports, each as an int over it
-        m = instance.m
-        scale, ints = scale_to_integers(instance.agents + instance.candidates + points)
-        agent_ints, candidate_ints = ints[:n], tuple(ints[n : n + m])
-        point_ints = tuple(ints[n + m :])
-        # scaling is one-to-one, so the ints locate each agent's own report
-        own, among = agent_ints, point_ints
-        int_truthful = [(x,) for x in agent_ints]
-        carried = itertools.repeat(candidate_ints), itertools.repeat(scale)
-    else:
-        own, among = instance.agents, points
-    cuts = [among.index(x) for x in own]
-    options = [points[:j] + points[j + 1 :] for j in cuts]
-    if line:
-        int_options = [point_ints[:j] + point_ints[j + 1 :] for j in cuts]
+    agents, candidates = stored[:2]
+    options = [points[:j] + points[j + 1 :] for j in map(points.index, agents)]
     truthful = mechanism.apply(instance)
     table = distance_rows(instance)
     # each agent's truthful cost, as an int over one positive denominator
@@ -328,10 +294,12 @@ def find_group_deviation(
         costs = [_SelectionCosts(row) for row in table]
     # a rule that declares no breakpoints, or any rule off the line, is
     # handed every joint report
-    declared = getattr(mechanism, "breakpoints", None) if line else None
+    declared = getattr(mechanism, "breakpoints", None) if instance.scaled is not None else None
     # every agent outside the coalition keeps its one truthful report, so
-    # product() yields whole profiles, the last member's report fastest
-    truthful_choices = [(x,) for x in instance.agents]
+    # product() yields whole profiles, the last member's report fastest;
+    # each arrives with the rest of the stored form, `carried`
+    truthful_choices = [(x,) for x in agents]
+    carried = [itertools.repeat(x) for x in stored[1:]]
     for size in range(1, max_coalition + 1):
         for coalition in itertools.combinations(range(1, n + 1), size):
             if deterministic:
@@ -342,26 +310,16 @@ def find_group_deviation(
                 # a member already at cost 0 can never strictly improve
                 continue
             members = [options[i - 1] for i in coalition]
-            if line:
-                int_members = [int_options[i - 1] for i in coalition]
-                cells = declared(agent_ints, candidate_ints, coalition) if declared else None
-                if cells is not None:
-                    # each member's first option in each of its cells
-                    firsts = [_cell_firsts(o, b) for o, b in zip(int_members, cells)]
-                    members, int_members = (
-                        [tuple(map(o.__getitem__, f)) for o, f in zip(opts, firsts)]
-                        for opts in (members, int_members)
-                    )
-                # the same choices as ints, index for index, walked in
-                # lockstep, so each profile arrives with its own ints and
-                # the search's scale
-                int_profiles = itertools.product(*_choices(int_truthful, coalition, int_members))
-                scaled = zip(int_profiles, *carried)
-            else:
-                scaled = itertools.repeat(None)
+            cells = declared(agents, candidates, coalition) if declared else None
+            if cells is not None:
+                # each member's first option in each of its cells
+                members = [
+                    tuple(map(o.__getitem__, _cell_firsts(o, b))) for o, b in zip(members, cells)
+                ]
             profiles = itertools.product(*_choices(truthful_choices, coalition, members))
-            for profile, profile_scaled in zip(profiles, scaled):
-                shifted = mechanism.apply(Instance._trusted(instance, profile, profile_scaled))
+            for form in zip(profiles, *carried):
+                profile = Instance._trusted(instance, form)
+                shifted = mechanism.apply(profile)
                 if deterministic:
                     if shifted.selection not in winning:
                         continue
@@ -372,7 +330,7 @@ def find_group_deviation(
                     continue
                 return DeviationWitness(
                     coalition,
-                    tuple(profile[i - 1] for i in coalition),
+                    tuple(profile.agent(i) for i in coalition),
                     truthful,
                     shifted,
                     tuple(outcome_agent_cost(instance, truthful, i) for i in coalition),

@@ -220,6 +220,19 @@ def test_verify_finds_the_strawman_witness(tmp_path, capsys):
             },
             id="metric",
         ),
+        # the k = 1 metric instance the CI's console-script step searches
+        pytest.param(
+            json.loads((GOLDEN.parent / "metric_n3_m2_k1.json").read_text()),
+            ["--mechanism", "rd", "--group-max", "2"],
+            {
+                "agents": 3,
+                "grid_points": 41,
+                "misreports_per_agent": [4, 4, 4],
+                "max_coalition": 2,
+                "joint_misreports": 60,
+            },
+            id="metric-file",
+        ),
     ],
 )
 def test_verify_clean_mechanism_reports_search_size(tmp_path, capsys, instance, flags, searched):
@@ -547,8 +560,8 @@ def test_exit_parse_on_out_of_range_arguments(tmp_path, capsys, monkeypatch, arg
     """An argument out of range is refused before any misreport is built,
     whatever the grid."""
     scaled = []
-    real = verify.scale_to_integers
-    monkeypatch.setattr(verify, "scale_to_integers", lambda values: scaled.append(1) or real(values))
+    real = verify._line_grid
+    monkeypatch.setattr(verify, "_line_grid", lambda *args: scaled.append(1) or real(*args))
     path = write_instance(tmp_path, instance_to_json(LB_BASE))
     assert main([arg.replace("{path}", path) for arg in argv]) == EXIT_PARSE
     captured = capsys.readouterr()
@@ -583,8 +596,8 @@ def test_verify_refuses_a_grid_past_the_guard_before_building_it(tmp_path, capsy
     """Every agent tries at least grid - 1 reports, so once n * (grid - 1)
     exceeds the guard no grid point is built."""
     scaled = []
-    real = verify.scale_to_integers
-    monkeypatch.setattr(verify, "scale_to_integers", lambda values: scaled.append(1) or real(values))
+    real = verify._line_grid
+    monkeypatch.setattr(verify, "_line_grid", lambda *args: scaled.append(1) or real(*args))
     path = write_instance(tmp_path, instance_to_json(LB_BASE))  # n = 2
     monkeypatch.setenv("FLG_GUARD", "10")
     for grid in ("300000", "7"):  # 2 * 6 = 12 > 10
@@ -606,8 +619,8 @@ def test_verify_refuses_a_coalition_grid_past_the_guard_before_building_it(capsy
     sum over s of comb(n, s) * (grid - 1)**s joint reports, so the grid
     is refused unbuilt once that exceeds the guard."""
     scaled = []
-    real = verify.scale_to_integers
-    monkeypatch.setattr(verify, "scale_to_integers", lambda values: scaled.append(1) or real(values))
+    real = verify._line_grid
+    monkeypatch.setattr(verify, "_line_grid", lambda *args: scaled.append(1) or real(*args))
     monkeypatch.setenv("FLG_GUARD", "1000000")
     # n = 5: 5 * 199999 is within the guard, 10 * 199999**2 more is not
     argv = ["verify", str(GOLDEN), "--mechanism", "leftmost", "--group-max", "2", "--grid", "200000"]

@@ -98,6 +98,55 @@ def test_instance_parses_mixed_exact_inputs():
     assert inst.candidate(2) == F(1)
 
 
+def count_fractions(monkeypatch) -> list:
+    """Record the arguments of every Fraction built from here on."""
+    made, real = [], F.__new__
+    monkeypatch.setattr(
+        F, "__new__", lambda cls, *args, **kw: made.append(args) or real(cls, *args, **kw)
+    )
+    return made
+
+
+def test_line_instance_stores_only_its_int_form():
+    inst = line_instance(("0.9", 2), ("9/10", F(1)), k=2)
+    assert [f.name for f in dataclasses.fields(Instance)] == ["space", "k", "scaled", "points"]
+    assert vars(inst) == {"space": LINE, "k": 2, "scaled": ((9, 20), (9, 10), 10)}
+    assert repr(inst) == (
+        "Instance(space=Line(), agents=(Fraction(9, 10), Fraction(2, 1)), "
+        "candidates=(Fraction(9, 10), Fraction(1, 1)), k=2)"
+    )
+    metric = metric_instance(((0, 1), (1, 0)), (1, 2), (2,))
+    assert vars(metric) == {"space": metric.space, "k": 1, "points": ((1, 2), (2,))}
+    assert metric.scaled is None and (metric.agents, metric.candidates) == ((1, 2), (2,))
+    assert repr(metric) == (
+        "Instance(space=FiniteMetric(matrix=((Fraction(0, 1), Fraction(1, 1)), "
+        "(Fraction(1, 1), Fraction(0, 1)))), agents=(1, 2), candidates=(2,), k=1)"
+    )
+    for name in ("agents", "candidates", "scaled", "points"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, name, inst.scaled)
+
+
+def test_one_location_builds_one_fraction(monkeypatch):
+    inst = line_instance(("0.9", 2, 3, 4), ("9/10", F(1)), k=1)
+    nine_tenths = F(9, 10)
+    made = count_fractions(monkeypatch)
+    assert inst.agent(2) == 2 and inst.candidate(1) == nine_tenths
+    assert len(made) == 2
+    # the cost itself is the one Fraction an agent's cost builds
+    assert outcome_agent_cost(inst, Deterministic((2,)), 4) == 3
+    assert len(made) == 3
+    for i in (0, 5):
+        with pytest.raises(IndexError):
+            inst.agent(i)
+        with pytest.raises(IndexError):
+            outcome_agent_cost(inst, Deterministic((2,)), i)
+    for j in (0, 3):
+        with pytest.raises(IndexError):
+            inst.candidate(j)
+    assert len(made) == 3
+
+
 def test_agent_cost_nearest_selected_facility():
     assert outcome_agent_cost(LB_BASE, Deterministic((1,)), 2) == F(11, 10)
     assert outcome_agent_cost(LB_BASE, Deterministic((2,)), 2) == F(9, 10)

@@ -263,6 +263,36 @@ def test_instance_scaled_is_invisible_to_equality_hash_and_repr():
     assert metric_instance(((0, 1), (1, 0)), (1, 2), (2,)).scaled is None
 
 
+few = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+few_instances = st.builds(
+    line_instance,
+    st.lists(few, min_size=1, max_size=2),
+    st.lists(few, min_size=1, max_size=2),
+    st.sampled_from((1, 2)),
+)
+
+
+@given(
+    first=few_instances,
+    second=few_instances,
+    factors=st.lists(st.integers(1, 6), min_size=2, max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_instance_equality_and_hash_are_those_of_the_fraction_tuples(first, second, factors):
+    """Two instances are equal, and then hash alike, exactly when their
+    agents, candidates and k are, also when one is stored at an unreduced
+    scale as a search stores its profiles (Instance._trusted)."""
+    stored = []
+    for inst, f in zip((first, second), factors):
+        agents, candidates, scale = inst.scaled
+        unreduced = (tuple(v * f for v in agents), tuple(v * f for v in candidates), scale * f)
+        stored += [inst, Instance._trusted(inst, unreduced)]
+    for a, b in itertools.product(stored, repeat=2):
+        same = (a.agents, a.candidates, a.k) == (b.agents, b.candidates, b.k)
+        assert (a == b) is same and (a != b) is not same
+        assert not same or hash(a) == hash(b)
+
+
 # ---------------------------------------------------------------------------
 # reference: costs and the optimum written directly on Fractions
 
@@ -384,8 +414,8 @@ def test_costs_read_the_scale_a_profile_carries():
     its costs are read over that scale, not the template's."""
     template = line_instance((F(1, 2), 3), (0, F(5, 2)), k=1)
     agents = (F(1, 3), F(7, 6))
-    profile = Instance._trusted(template, agents, ((2, 7), (0, 15), 6))
-    assert profile.scaled[2] != template.scaled[2]
+    profile = Instance._trusted(template, ((2, 7), (0, 15), 6))
+    assert profile.agents == agents and profile.scaled[2] != template.scaled[2]
     plain = line_instance(agents, template.candidates, k=1)
     lottery = Randomized(((Deterministic((1,)), F(1, 3)), (Deterministic((2,)), F(2, 3))))
     for outcome in (Deterministic((1,)), Deterministic((2,)), lottery):

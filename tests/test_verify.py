@@ -175,6 +175,21 @@ def test_group_clean_for_group_strategyproof_rules():
         )
 
 
+@pytest.mark.parametrize("rule, max_coalition", [(LEFTMOST, 2), (RD, 1)])
+def test_a_clean_line_search_builds_no_fraction(monkeypatch, rule, max_coalition):
+    """The search tries every profile in the instance's int form, so a
+    search that finds no witness builds no Fraction at all."""
+    instance = random_instance(RandomFamily("line-uniform", n=5, m=4, seed=201), 0)
+    made, real = [], F.__new__
+    monkeypatch.setattr(
+        F, "__new__", lambda cls, *args, **kw: made.append(args) or real(cls, *args, **kw)
+    )
+    assert find_group_deviation(instance, rule, max_coalition=max_coalition) is None
+    assert made == []
+    F(1, 3)  # the count is live
+    assert made == [(1, 3)]
+
+
 def test_group_search_guard_and_bounds():
     with pytest.raises(GuardExceeded):
         find_group_deviation(LB_BASE, MEAN, max_coalition=2, guard=100)
