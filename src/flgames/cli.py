@@ -3,7 +3,8 @@
 Instances travel as JSON files; every number crossing the interface is
 an exact string (decimal or p/q), never binary floating point.  Reports
 carry each value twice: the exact rational, and a readable decimal
-approximation (12 places, truncated) in a sibling *_decimal field.
+approximation (DECIMAL_PLACES = 12 places, truncated) in a sibling
+*_decimal field.
 
 Exit codes: 0 success, 2 parse or usage failure (including an argument
 out of range and an output file that cannot be written), 3 enumeration
@@ -53,6 +54,8 @@ EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_MISMATCH = 4
 
+DECIMAL_PLACES = 12
+
 
 class InstanceParseError(ValueError):
     """Malformed instance file or malformed exact number."""
@@ -62,14 +65,15 @@ class InstanceParseError(ValueError):
 # exact serialization
 
 
-def decimal_string(value: Fraction, places: int = 12) -> str:
-    """Decimal rendering of an exact rational, truncated toward zero."""
+def decimal_string(value: Fraction) -> str:
+    """Decimal rendering of an exact rational to DECIMAL_PLACES places,
+    truncated toward zero."""
     sign = "-" if value < 0 else ""
     whole, rem = divmod(abs(value.numerator), value.denominator)
     if rem == 0:
         return f"{sign}{whole}"
-    digits = rem * 10**places // value.denominator
-    frac = str(digits).rjust(places, "0").rstrip("0")
+    digits = rem * 10**DECIMAL_PLACES // value.denominator
+    frac = str(digits).rjust(DECIMAL_PLACES, "0").rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
@@ -291,15 +295,7 @@ def cmd_verify(args, guard: int) -> int:
 
 
 def cmd_sweep(args, guard: int) -> int:
-    family = RandomFamily(
-        kind=args.family,
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        seed=args.seed,
-        low=_parse_exact(args.low, "--low"),
-        high=_parse_exact(args.high, "--high"),
-    )
+    family = RandomFamily(args.family, args.n, args.m, args.k, args.seed)
     mechanism = parse_mechanism(args.mechanism)
     lines = ["index,n,m,k,mech_cost,opt_cost,ratio"]
     worst = None
@@ -392,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--m", type=int, required=True)
     sweep.add_argument("--k", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--low", default="0")
-    sweep.add_argument("--high", default="1")
     sweep.add_argument("--mechanism", required=True)
     sweep.add_argument("--objective", choices=OBJECTIVES, required=True)
     sweep.add_argument("--count", type=int, required=True)

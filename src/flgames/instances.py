@@ -6,9 +6,10 @@ Two sources of instances:
     lower-bound arguments and tight approximation examples at concrete
     parameter values; one table defines them all, by name;
   * seeded random families (uniform line profiles, shortest-path metric
-    closures closed once by core), used by the sweep and falsification;
-    one table defines them all, by kind, and FAMILY_KINDS names the
-    kinds.  random_instance is the only draw.
+    closures closed once by core), every coordinate or edge weight on
+    the 10^6-step grid on [0, 1] (GRID_DENOMINATOR), used by the sweep
+    and falsification; one table defines them all, by kind, and
+    FAMILY_KINDS names the kinds.  random_instance is the only draw.
 
 Random instances are deterministic in (seed, index): the same pair
 always yields the same instance, independent of call order, so sweep
@@ -24,8 +25,9 @@ from functools import partial
 
 from .core import FiniteMetric, Instance, line_instance, parse_scalar
 
-# Coordinates and edge weights are drawn from a fixed fine grid so that
-# exact ties occur with realistic frequency instead of never.
+# Coordinates and edge weights are drawn from a fixed fine grid on [0, 1],
+# so every draw is an exact rational, reproducible from (seed, index).
+# Exact ties on it are rare; tie-heavy families are ROADMAP item 9.
 GRID_DENOMINATOR = 10**6
 
 # The only definition of each construction: its profile at (eps, far, n),
@@ -99,8 +101,8 @@ def build_paper_instance(construction: PaperConstruction) -> Instance:
 class RandomFamily:
     """A seeded distribution over instances: n agents, m candidates and
     k facilities, every coordinate or edge weight drawn uniformly from
-    the grid points of [low, high].  kind names one of FAMILY_KINDS;
-    its builder in the table below says what is drawn.
+    the 10^6-step grid on [0, 1] (GRID_DENOMINATOR).  kind names one of
+    FAMILY_KINDS; its builder in the table below says what is drawn.
     """
 
     kind: str
@@ -108,12 +110,8 @@ class RandomFamily:
     m: int
     k: int = 1
     seed: int = 0
-    low: Fraction = Fraction(0)
-    high: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "low", parse_scalar(self.low))
-        object.__setattr__(self, "high", parse_scalar(self.high))
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if type(self.n) is not int or type(self.m) is not int or self.n < 1 or self.m < 1:
@@ -122,8 +120,6 @@ class RandomFamily:
             raise ValueError(f"facility count must be 1 or 2, got {self.k}")
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not self.low < self.high:
-            raise ValueError(f"empty range [{self.low}, {self.high}]")
 
 
 def _stream(family: RandomFamily, index: int) -> random.Random:
@@ -145,9 +141,8 @@ def _uniform_int(rng: random.Random, bound: int) -> int:
             return value
 
 
-def _grid_draw(rng: random.Random, low: Fraction, high: Fraction) -> Fraction:
-    steps = int((high - low) * GRID_DENOMINATOR)
-    return low + Fraction(_uniform_int(rng, steps + 1), GRID_DENOMINATOR)
+def _grid_draw(rng: random.Random) -> Fraction:
+    return Fraction(_uniform_int(rng, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
 
 
 def _line_family(family: RandomFamily, draw) -> Instance:
@@ -189,5 +184,5 @@ FAMILY_KINDS = tuple(_FAMILIES)
 
 def random_instance(family: RandomFamily, index: int) -> Instance:
     """Instance number `index` of the family, built by its kind's builder."""
-    draw = partial(_grid_draw, _stream(family, index), family.low, family.high)
+    draw = partial(_grid_draw, _stream(family, index))
     return _FAMILIES[family.kind](family, draw)

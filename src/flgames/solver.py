@@ -102,9 +102,9 @@ def ratio_of(cost: Fraction, opt: Fraction) -> Ratio:
     return cost / opt
 
 
-def ratio(instance: Instance, mechanism, objective: str, guard: int = DEFAULT_GUARD) -> Ratio:
+def ratio(instance: Instance, mechanism, objective: str) -> Ratio:
     """Mechanism cost (expected, if randomized) divided by the exact
-    optimum for the same objective."""
+    optimum for the same objective, under DEFAULT_GUARD."""
     cost = outcome_cost(instance, mechanism.apply(instance), objective)
-    opt = optimal(instance, objective, guard).value
+    opt = optimal(instance, objective).value
     return ratio_of(cost, opt)

@@ -535,6 +535,9 @@ def test_exit_parse_on_bad_files(tmp_path, capsys):
 def test_exit_parse_on_usage_errors(capsys):
     assert main(["solve"]) == EXIT_PARSE  # missing instance path
     assert main(["fly"]) == EXIT_PARSE  # unknown subcommand
+    # families draw on one fixed grid on [0, 1], so sweep takes no range
+    sweep = SWEEP_ARGS + ["--n", "2", "--objective", "mc", "--count", "1"]
+    assert main(sweep + ["--low", "0"]) == EXIT_PARSE
     capsys.readouterr()
 
 
@@ -548,7 +551,6 @@ SWEEP_ARGS = ["sweep", "--family", "line-uniform", "--m", "2", "--mechanism", "l
         ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "3"],  # n is 2
         ["verify", "{path}", "--mechanism", "leftmost", "--grid", "-1"],
         SWEEP_ARGS + ["--n", "0", "--objective", "mc", "--count", "1"],
-        SWEEP_ARGS + ["--n", "2", "--low", "2", "--high", "1", "--objective", "mc", "--count", "1"],
         SWEEP_ARGS + ["--n", "2", "--objective", "mc", "--count", "-3"],
         ["replay", "--construction", "single-deterministic", "--mechanism", "leftmost",
          "--epsilon", "3/2"],
