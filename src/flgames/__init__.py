@@ -44,6 +44,7 @@ from .solver import (
     GuardExceeded,
     OptResult,
     Ratio,
+    evaluate,
     optimal,
     ratio,
     ratio_of,

@@ -33,12 +33,11 @@ from .core import (
     Outcome,
     line_instance,
     metric_instance,
-    outcome_cost,
     parse_scalar,
 )
 from .instances import FAMILY_KINDS, RandomFamily
 from .mechanisms import MechanismMismatch, parse_mechanism
-from .solver import DEFAULT_GUARD, GuardExceeded, optimal, ratio_of
+from .solver import DEFAULT_GUARD, GuardExceeded, evaluate, optimal
 from .verify import (
     DEFAULT_GRID_POINTS,
     REPLAY_CONSTRUCTIONS,
@@ -244,11 +243,9 @@ def cmd_run(args, guard: int) -> int:
         "outcome": outcome_json(instance, outcome),
     }
     for objective in OBJECTIVES:
-        cost = outcome_cost(instance, outcome, objective)
-        opt = optimal(instance, objective, guard).value
-        put_scalar(payload, f"cost_{objective}", cost)
-        put_scalar(payload, f"optimal_{objective}", opt)
-        put_scalar(payload, f"ratio_{objective}", ratio_of(cost, opt))
+        result = evaluate(instance, outcome, objective, guard)
+        for key, value in zip(("cost", "optimal", "ratio"), result):
+            put_scalar(payload, f"{key}_{objective}", value)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -284,17 +284,16 @@ class Instance:
         return Instance(self.space, tuple(agents), self.candidates, self.k)
 
     @classmethod
-    def _trusted(cls, template: "Instance", stored: tuple) -> "Instance":
-        """The template with another agent profile, given in the form the
-        template stores and taken as is: on the line the int form (agent
-        ints, the template's candidates as ints, and their one positive
-        scale, reduced or not), on a finite metric (agent points, candidate
-        points).  For callers that draw every report from a validated set;
-        replace_agents keeps every check."""
+    def _trusted(cls, space: Space, k: int, stored: tuple) -> "Instance":
+        """An instance from the form it stores, taken as is: on the line the
+        int form (agent ints, candidate ints, one positive scale, reduced or
+        not), on a finite metric (agent points, candidate points).  For a
+        search's profiles and generation's grid, drawn from validated sets;
+        the public constructor keeps every check."""
         inst = object.__new__(cls)
         # dict writes set the frozen fields, as object.__setattr__ would
-        inst.__dict__.update(space=template.space, k=template.k)
-        inst.__dict__["points" if template.scaled is None else "scaled"] = stored
+        inst.__dict__.update(space=space, k=k)
+        inst.__dict__["scaled" if isinstance(space, Line) else "points"] = stored
         return inst
 
 
@@ -472,4 +471,5 @@ def permute_agents(instance: Instance, permutation: Sequence[int]) -> Instance:
         raise ValueError(f"not a permutation of 1..{instance.n}: {permutation}")
     # the same locations in another order, so the stored form, scale and all
     agents, *rest = instance.scaled or instance.points
-    return Instance._trusted(instance, (tuple(agents[p - 1] for p in permutation), *rest))
+    stored = (tuple(agents[p - 1] for p in permutation), *rest)
+    return Instance._trusted(instance.space, instance.k, stored)

@@ -10,6 +10,7 @@ Two sources of instances:
     the 10^6-step grid on [0, 1] (GRID_DENOMINATOR), used by the sweep
     and falsification; one table defines them all, by kind, and
     FAMILY_KINDS names the kinds.  random_instance is the only draw.
+    Line coordinates are drawn as ints, metric edge weights as Fractions.
 
 Random instances are deterministic in (seed, index): the same pair
 always yields the same instance, independent of call order, so sweep
@@ -21,9 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from math import gcd
 
-from .core import FiniteMetric, Instance, line_instance, parse_scalar
+from .core import LINE, FiniteMetric, Instance, line_instance, parse_scalar
 
 # Coordinates and edge weights are drawn from a fixed fine grid on [0, 1],
 # so every draw is an exact rational, reproducible from (seed, index).
@@ -145,11 +146,13 @@ def _grid_draw(rng: random.Random) -> Fraction:
     return Fraction(_uniform_int(rng, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
 
 
-def _line_family(family: RandomFamily, draw) -> Instance:
-    """n agents, then m candidates, each a point of the line."""
-    agents = tuple(draw() for _ in range(family.n))
-    candidates = tuple(draw() for _ in range(family.m))
-    return line_instance(agents, candidates, family.k)
+def _line_family(family: RandomFamily, rng: random.Random) -> Instance:
+    """n agents, then m candidates, each a point of the line, in Instance's int form."""
+    ints = [_uniform_int(rng, GRID_DENOMINATOR + 1) for _ in range(family.n + family.m)]
+    g = gcd(GRID_DENOMINATOR, *ints)
+    ints = [v // g for v in ints]
+    stored = (tuple(ints[: family.n]), tuple(ints[family.n :]), GRID_DENOMINATOR // g)
+    return Instance._trusted(LINE, family.k, stored)
 
 
 def metric_closure(matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -158,7 +161,7 @@ def metric_closure(matrix) -> tuple[tuple[Fraction, ...], ...]:
     return FiniteMetric._closure(matrix).matrix
 
 
-def _metric_family(family: RandomFamily, draw) -> Instance:
+def _metric_family(family: RandomFamily, rng: random.Random) -> Instance:
     """A symmetric matrix of weights over n+m points, upper triangle
     drawn row by row, closed under shortest paths; agents are points
     1..n, candidates are points n+1..n+m."""
@@ -166,14 +169,14 @@ def _metric_family(family: RandomFamily, draw) -> Instance:
     raw = [[Fraction(0)] * p for _ in range(p)]
     for i in range(p):
         for j in range(i + 1, p):
-            raw[i][j] = raw[j][i] = draw()
+            raw[i][j] = raw[j][i] = _grid_draw(rng)
     agents = tuple(range(1, family.n + 1))
     candidates = tuple(range(family.n + 1, p + 1))
     return Instance(FiniteMetric._closure(raw), agents, candidates, family.k)
 
 
 # The only definition of each family kind: its builder, called with the
-# family and a draw() of the stream's next grid coordinate.
+# family and the instance's stream, from which it draws.
 _FAMILIES = {
     "line-uniform": _line_family,
     "metric-closure": _metric_family,
@@ -184,5 +187,4 @@ FAMILY_KINDS = tuple(_FAMILIES)
 
 def random_instance(family: RandomFamily, index: int) -> Instance:
     """Instance number `index` of the family, built by its kind's builder."""
-    draw = partial(_grid_draw, _stream(family, index))
-    return _FAMILIES[family.kind](family, draw)
+    return _FAMILIES[family.kind](family, _stream(family, index))

@@ -3,8 +3,8 @@ ratios of mechanisms against it.
 
 With at most two facilities the search space is every multiset of k
 candidate indices; enumeration is guarded so a pathological instance
-fails loudly instead of hanging.  Each multiset is costed on the core's
-integer table (distance_rows); only the optimal value becomes a Fraction.
+fails loudly instead of hanging.  One table of multiset costs, on the core's
+integer table (distance_rows), gives the optimum and evaluate's mechanism cost.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import comb
-from typing import Union
+from typing import NamedTuple, Union
 
-from .core import Deterministic, Instance, cost_scale, distance_rows, outcome_cost
+from .core import Deterministic, Instance, Outcome, cost_scale, distance_rows
 from .core import selection_cost, validate_objective
 
 DEFAULT_GUARD = 10**7
@@ -75,22 +75,21 @@ def candidate_multisets(instance: Instance, guard: int = DEFAULT_GUARD):
     return itertools.combinations_with_replacement(range(1, m + 1), k)
 
 
-def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> OptResult:
-    """Minimize the objective over all multisets of k candidates
-    (candidate_multisets, under the guard)."""
+def _cost_table(instance: Instance, objective: str, guard: int) -> dict[tuple[int, ...], int]:
+    """Each candidate multiset's objective value, an int over cost_scale,
+    keyed by its sorted tuple, in candidate_multisets order."""
     validate_objective(objective)
     selections = candidate_multisets(instance, guard)
     columns = tuple(zip(*distance_rows(instance)))
-    best_value = None
-    argmins: list[tuple[int, ...]] = []
-    for selection in selections:
-        value = selection_cost(columns, selection, objective)
-        if best_value is None or value < best_value:
-            best_value = value
-            argmins = [selection]
-        elif value == best_value:
-            argmins.append(selection)
-    all_best = tuple(Deterministic(sel) for sel in argmins)
+    return {selection: selection_cost(columns, selection, objective) for selection in selections}
+
+
+def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> OptResult:
+    """Minimize the objective over all multisets of k candidates
+    (candidate_multisets, under the guard)."""
+    table = _cost_table(instance, objective, guard)
+    best_value = min(table.values())
+    all_best = tuple(Deterministic(sel) for sel, value in table.items() if value == best_value)
     return OptResult(Fraction(best_value, cost_scale(instance)), all_best[0], all_best)
 
 
@@ -102,9 +101,27 @@ def ratio_of(cost: Fraction, opt: Fraction) -> Ratio:
     return cost / opt
 
 
+class Evaluation(NamedTuple):
+    """An outcome's objective value, the exact optimum, and their ratio."""
+
+    cost: Fraction
+    optimum: Fraction
+    ratio: Ratio
+
+
+def evaluate(
+    instance: Instance, outcome: Outcome, objective: str, guard: int = DEFAULT_GUARD
+) -> Evaluation:
+    """outcome_cost, optimal(...).value and ratio_of, off one cost table:
+    each selection of the outcome (k facilities) is read at its sorted tuple."""
+    table = _cost_table(instance, objective, guard)
+    selections, weights, denominator = outcome.scaled
+    value = sum(w * table[tuple(sorted(sel))] for sel, w in zip(selections, weights))
+    scale = cost_scale(instance)
+    cost, opt = Fraction(value, denominator * scale), Fraction(min(table.values()), scale)
+    return Evaluation(cost, opt, ratio_of(cost, opt))
+
+
 def ratio(instance: Instance, mechanism, objective: str) -> Ratio:
-    """Mechanism cost (expected, if randomized) divided by the exact
-    optimum for the same objective, under DEFAULT_GUARD."""
-    cost = outcome_cost(instance, mechanism.apply(instance), objective)
-    opt = optimal(instance, objective).value
-    return ratio_of(cost, opt)
+    """evaluate's ratio for the mechanism's outcome, under DEFAULT_GUARD."""
+    return evaluate(instance, mechanism.apply(instance), objective).ratio

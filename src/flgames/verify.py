@@ -87,7 +87,6 @@ from .core import (
     Outcome,
     distance_rows,
     outcome_agent_cost,
-    outcome_cost,
     permute_agents,
     row_cost,
     validate_objective,
@@ -98,8 +97,7 @@ from .solver import (
     GuardExceeded,
     Ratio,
     candidate_multisets,
-    optimal,
-    ratio_of,
+    evaluate,
 )
 
 DEFAULT_GRID_POINTS = 41
@@ -318,7 +316,7 @@ def find_group_deviation(
                 ]
             profiles = itertools.product(*_choices(truthful_choices, coalition, members))
             for form in zip(profiles, *carried):
-                profile = Instance._trusted(instance, form)
+                profile = Instance._trusted(instance.space, instance.k, form)
                 shifted = mechanism.apply(profile)
                 if deterministic:
                     if shifted.selection not in winning:
@@ -397,9 +395,7 @@ def iter_sweep(
         raise ValueError(f"count must be nonnegative, got {count}")
     for index in range(count):
         inst = random_instance(family, index)
-        cost = outcome_cost(inst, mechanism.apply(inst), objective)
-        opt = optimal(inst, objective, guard).value
-        yield SweepRow(index, inst, cost, opt, ratio_of(cost, opt))
+        yield SweepRow(index, inst, *evaluate(inst, mechanism.apply(inst), objective, guard))
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +472,7 @@ def replay_lower_bound(
     shifted = build_paper_instance(PaperConstruction(shifted_name, eps=eps, far=far))
     outcome_base = mechanism.apply(base)
     outcome_shifted = mechanism.apply(shifted)
-    ratio_base = ratio_of(outcome_cost(base, outcome_base, "mc"), optimal(base, "mc").value)
-    ratio_shifted = ratio_of(
-        outcome_cost(shifted, outcome_shifted, "mc"), optimal(shifted, "mc").value
-    )
+    ratio_shifted = evaluate(shifted, outcome_shifted, "mc").ratio
     # agent 2's lie: with everyone else truthful, reporting 3 turns the
     # base profile into the shifted one
     cost_truthful = outcome_agent_cost(base, outcome_base, 2)
@@ -493,7 +486,7 @@ def replay_lower_bound(
         instance_shifted=shifted,
         outcome_base=outcome_base,
         outcome_shifted=outcome_shifted,
-        ratio_base=ratio_base,
+        ratio_base=evaluate(base, outcome_base, "mc").ratio,
         ratio_shifted=ratio_shifted,
         beats_bound=beats,
         manipulator=2,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -514,6 +515,87 @@ def test_replay_prints_the_whole_payload(capsys, construction, mechanism):
 
 
 # ---------------------------------------------------------------------------
+# pinned output bytes: sha256 of the whole stdout, recorded once, so an
+# exact speed-up of costs, optima or draws must keep every byte
+
+
+def stdout_sha256(capsys, argv):
+    assert main(argv) == EXIT_OK
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+PINNED_SWEEPS = {
+    "line-k2-two-extremes-sc": (
+        ["--family", "line-uniform", "--k", "2", "--mechanism", "two-extremes", "--objective", "sc"],
+        "8dcacd0a872b5bbc670ba6fc9fa5f9693cd6038849d55d3730aaaa3fb05b4d6a",
+    ),
+    "line-k1-rd-sc": (
+        ["--family", "line-uniform", "--mechanism", "rd", "--objective", "sc"],
+        "94192f6fa3284f10b9666faac7cb717a1b04b79ae0ed24e499dc06b7d227f7b0",
+    ),
+    "metric-dictator-mc": (
+        ["--family", "metric-closure", "--mechanism", "dictator:1", "--objective", "mc"],
+        "4fafaeacd071347ac6169d9d96c2aba6752ccd9fbee07327c494e4797f3d39a9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SWEEPS))
+def test_sweep_csv_bytes_are_pinned(capsys, case):
+    """200 rows at n=5, m=4, seed 17; the first case is A8's sweep."""
+    flags, digest = PINNED_SWEEPS[case]
+    argv = ["sweep", "--n", "5", "--m", "4", "--seed", "17", "--count", "200"] + flags
+    assert stdout_sha256(capsys, argv) == digest
+
+
+PINNED_RUNS = {
+    "leftmost": "a75de8610e66720668d44364447127285f240fe581f0d261812fe1dd102c90bb",
+    "dictator:1": "7a6caabd8296939b0ec415280a675eec909f338435478fec9e9f1caade534f42",
+    "median": "73adbc98b6c1439dc47f76c60fa2ee5c4e459ab9a0d5c83e2e2d19484a8d313e",
+    "rd": "13df928e392b6cd6ef3074b0d5ee22929446f9e891d389807451aca72dcba4ad",
+    "wpv:1/5,1/5,1/5,1/5,1/5": "a32b357eeb3823bba386a346e0d489137bd09c590d5e0834738ddb280042d652",
+    "mean": "38f77e86b5e5938abb098a14b8fc307aae41acf2786ef7267aa6615f3a44c81c",
+    "two-extremes": "5fe7d6bcba3c3719f0278b8d6a9fbcfcc6a8b56fc0c73a56ad2403fd6b5acf7f",
+}
+
+
+@pytest.mark.parametrize("mechanism", list(PINNED_RUNS))
+def test_run_json_bytes_are_pinned(tmp_path, capsys, mechanism):
+    """Every rule on the golden line instance; two-extremes on its copy
+    with k=2."""
+    path = str(GOLDEN)
+    if mechanism == "two-extremes":
+        obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        path = write_instance(tmp_path, dict(obj, k=2))
+    assert stdout_sha256(capsys, ["run", path, "--mechanism", mechanism]) == PINNED_RUNS[mechanism]
+
+
+PINNED_REPLAYS = {
+    ("single-deterministic", "leftmost"): "8b016944c12835673cc6d9f6fda1b077a7068ed670d9a5c6853ae36840221335",
+    ("single-deterministic", "dictator:1"): "88256ce7ae29e32f936042e4532d071b28c30441052fc7938d10ed7d5712e2e3",
+    ("single-deterministic", "median"): "0ac359a2291038311a0136b7156fced1cfc265b0b3db548d631f3253bbdaa2f1",
+    ("single-deterministic", "rd"): "463b2d2c839c1658726036203830f835b165c54fc1687c1705adb7a0bb7ad92d",
+    ("single-deterministic", "wpv:1/2,1/2"): "cf8e5b3d74caf68e3d4acebc273e635854abd5a6287e462f6eb0fec0b71001a3",
+    ("single-deterministic", "mean"): "6a8ae0a9827b0c3fd8e3ce8d2014ffd6f0b7e1265a4d1891e5dcde5d04bce3c5",
+    ("single-randomized", "leftmost"): "c12b4f6fdcd3cfdbe3939133ed8499cd65e261f60ea4c0af05cc32b9e99135b0",
+    ("single-randomized", "dictator:1"): "d61395758113efd8141dc2b191d42f9e0135a018df254ffe81af9d84282c0bd3",
+    ("single-randomized", "median"): "c2369e294414c3f30aaa1eadd04ee1374ea9278eb0fc0be2333c825b93c464b2",
+    ("single-randomized", "rd"): "39809f804c3e0655759366d6a20f40c3623162c71106a5b7c09497a494591b48",
+    ("single-randomized", "wpv:1/2,1/2"): "8b1bbc87cc546a92cfe22b138a120fd2ba28f79064a98c7a1d9bb0a4c6bb2364",
+    ("single-randomized", "mean"): "7c04b79f343a52a720b830b0be330409597f2f1e301e07ef6d5e13945acd420d",
+    ("two-deterministic", "two-extremes"): "b7556af8cc7319726320f96c79238c9afab0b70ebc4e7f9a8a71d306bd119b58",
+    ("two-randomized", "two-extremes"): "c74a0f5dc4de3fb37d5b7c4795998c6955e0d52ded81c70114d30121f89b513e",
+}
+
+
+@pytest.mark.parametrize("construction, mechanism", list(PINNED_REPLAYS))
+def test_replay_json_bytes_are_pinned(capsys, construction, mechanism):
+    """Every rule on each construction whose facility count it opens."""
+    argv = ["replay", "--construction", construction, "--mechanism", mechanism, "--epsilon", "1/10"]
+    assert stdout_sha256(capsys, argv) == PINNED_REPLAYS[construction, mechanism]
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 
@@ -544,18 +626,32 @@ def test_exit_parse_on_usage_errors(capsys):
 SWEEP_ARGS = ["sweep", "--family", "line-uniform", "--m", "2", "--mechanism", "leftmost"]
 
 
+# explicit ids, so that removing a case cannot hand its id to another
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "0"],
-        ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "3"],  # n is 2
-        ["verify", "{path}", "--mechanism", "leftmost", "--grid", "-1"],
-        SWEEP_ARGS + ["--n", "0", "--objective", "mc", "--count", "1"],
-        SWEEP_ARGS + ["--n", "2", "--objective", "mc", "--count", "-3"],
-        ["replay", "--construction", "single-deterministic", "--mechanism", "leftmost",
-         "--epsilon", "3/2"],
-        ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "0", "--grid", "2000000"],
-        ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "3", "--grid", "2000000"],
+        pytest.param(
+            ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "0"], id="argv0"
+        ),
+        pytest.param(  # n is 2
+            ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "3"], id="argv1"
+        ),
+        pytest.param(["verify", "{path}", "--mechanism", "leftmost", "--grid", "-1"], id="argv2"),
+        pytest.param(SWEEP_ARGS + ["--n", "0", "--objective", "mc", "--count", "1"], id="argv3"),
+        pytest.param(SWEEP_ARGS + ["--n", "2", "--objective", "mc", "--count", "-3"], id="argv4"),
+        pytest.param(
+            ["replay", "--construction", "single-deterministic", "--mechanism", "leftmost",
+             "--epsilon", "3/2"],
+            id="argv5",
+        ),
+        pytest.param(
+            ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "0", "--grid", "2000000"],
+            id="argv6",
+        ),
+        pytest.param(
+            ["verify", "{path}", "--mechanism", "leftmost", "--group-max", "3", "--grid", "2000000"],
+            id="argv7",
+        ),
     ],
 )
 def test_exit_parse_on_out_of_range_arguments(tmp_path, capsys, monkeypatch, argv):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from dataclasses import fields
 from fractions import Fraction as F
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flgames import instances
 from flgames.core import FiniteMetric, Line, line_instance
 from flgames.instances import (
     CONSTRUCTION_NAMES,
     FAMILY_KINDS,
+    GRID_DENOMINATOR,
     PaperConstruction,
     RandomFamily,
     build_paper_instance,
@@ -176,6 +179,56 @@ def test_gate_families_draw_pinned_instances(family, digest):
     for index in range(200):
         h.update(repr(random_instance(family, index)).encode() + b"\n")
     assert h.hexdigest() == digest
+
+
+def fraction_route(family, index):
+    """A line family's draw written on Fractions: each coordinate
+    Fraction(draw, GRID_DENOMINATOR), through the public constructor."""
+    rng = instances._stream(family, index)
+    draws = [
+        F(instances._uniform_int(rng, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
+        for _ in range(family.n + family.m)
+    ]
+    return line_instance(draws[: family.n], draws[family.n :], family.k)
+
+
+def assert_same_instance(got, want):
+    assert got.scaled == want.scaled and repr(got) == repr(want)
+    assert got == want and hash(got) == hash(want)
+
+
+@given(
+    seed=st.integers(-(10**9), 10**9),
+    index=st.integers(0, 10**6),
+    n=st.integers(1, 8),
+    m=st.integers(1, 8),
+    k=st.sampled_from((1, 2)),
+)
+@settings(max_examples=300, deadline=None)
+def test_line_draws_on_ints_are_the_fraction_route(seed, index, n, m, k):
+    family = RandomFamily("line-uniform", n, m, k, seed)
+    assert_same_instance(random_instance(family, index), fraction_route(family, index))
+
+
+@pytest.mark.parametrize(
+    "draws, scaled",
+    [
+        pytest.param((250_000, 0, 750_000, 500_000, 10**6), ((1, 0, 3), (2, 4), 4), id="quarters"),
+        pytest.param((0,) * 5, ((0, 0, 0), (0, 0), 1), id="all-zero"),
+        pytest.param((500_000, 0, 10**6, 10**6, 0), ((1, 0, 2), (2, 0), 2), id="halves"),
+    ],
+)
+def test_line_draws_are_stored_reduced(monkeypatch, draws, scaled):
+    """Draws sharing a factor with GRID_DENOMINATOR are divided by it, so
+    the stored int form is the reduced one the Fraction route stores."""
+    family = RandomFamily("line-uniform", n=3, m=2, k=1, seed=0)
+    results = []
+    for route in (random_instance, fraction_route):
+        stream = itertools.cycle(draws)
+        monkeypatch.setattr(instances, "_uniform_int", lambda rng, bound: next(stream))
+        results.append(route(family, 0))
+    assert results[0].scaled == scaled
+    assert_same_instance(*results)
 
 
 def test_line_family_range_and_grid():

@@ -38,8 +38,17 @@ from flgames.instances import (
     build_paper_instance,
     metric_closure,
 )
-from flgames.mechanisms import LEFTMOST, MEAN, MEDIAN, RD, TWO_EXTREMES, dictator_spec, wpv_spec
-from flgames.solver import OptResult, optimal
+from flgames.mechanisms import (
+    LEFTMOST,
+    MEAN,
+    MEDIAN,
+    RD,
+    RULES,
+    TWO_EXTREMES,
+    dictator_spec,
+    wpv_spec,
+)
+from flgames.solver import INFINITE_RATIO, OptResult, evaluate, optimal, ratio_of
 from flgames.verify import _lowers, _SelectionCosts
 
 # ---------------------------------------------------------------------------
@@ -286,7 +295,7 @@ def test_instance_equality_and_hash_are_those_of_the_fraction_tuples(first, seco
     for inst, f in zip((first, second), factors):
         agents, candidates, scale = inst.scaled
         unreduced = (tuple(v * f for v in agents), tuple(v * f for v in candidates), scale * f)
-        stored += [inst, Instance._trusted(inst, unreduced)]
+        stored += [inst, Instance._trusted(inst.space, inst.k, unreduced)]
     for a, b in itertools.product(stored, repeat=2):
         same = (a.agents, a.candidates, a.k) == (b.agents, b.candidates, b.k)
         assert (a == b) is same and (a != b) is not same
@@ -414,7 +423,7 @@ def test_costs_read_the_scale_a_profile_carries():
     its costs are read over that scale, not the template's."""
     template = line_instance((F(1, 2), 3), (0, F(5, 2)), k=1)
     agents = (F(1, 3), F(7, 6))
-    profile = Instance._trusted(template, ((2, 7), (0, 15), 6))
+    profile = Instance._trusted(template.space, template.k, ((2, 7), (0, 15), 6))
     assert profile.agents == agents and profile.scaled[2] != template.scaled[2]
     plain = line_instance(agents, template.candidates, k=1)
     lottery = Randomized(((Deterministic((1,)), F(1, 3)), (Deterministic((2,)), F(2, 3))))
@@ -425,6 +434,61 @@ def test_costs_read_the_scale_a_profile_carries():
                 plain, outcome, objective
             )
     assert optimal(profile, "sc") == ref_optimal(plain, "sc")
+
+
+# ---------------------------------------------------------------------------
+# one cost table: evaluate against outcome_cost, optimal and ratio_of
+
+
+def assert_evaluation_matches(instance, outcome):
+    for objective in OBJECTIVES:
+        cost = outcome_cost(instance, outcome, objective)
+        opt = optimal(instance, objective).value
+        got = evaluate(instance, outcome, objective)
+        assert got == (cost, opt, ratio_of(cost, opt)), (objective, outcome, instance)
+        assert type(got.cost) is F and type(got.optimum) is F
+        assert repr(got.ratio) == repr(ratio_of(cost, opt))
+
+
+@given(instance=ANY_INSTANCE, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_evaluation_matches_cost_optimum_and_ratio(instance, data):
+    """Every rule defined on the instance (rd and wpv lotteries among
+    them), a drawn outcome, and on k=2 a lottery over pairs drawn
+    unsorted and reversed, on line, tie-heavy and metric-closure
+    instances."""
+    for spec in specs_for(instance):
+        assert_evaluation_matches(instance, spec.apply(instance))
+    assert_evaluation_matches(instance, data.draw(outcomes(instance)))
+    if instance.k == 2:
+        assert_evaluation_matches(instance, data.draw(pair_lotteries(instance)))
+
+
+def test_evaluation_on_hand_built_ties():
+    single = line_instance((1, 1, 4), (0, 2), k=1)
+    pair = line_instance((1, 1, 4), (0, 2), k=2)
+    kinds = {spec.kind for inst in (single, pair) for spec in specs_for(inst)}
+    assert kinds == set(RULES)
+    cases = [
+        single,  # two agents on the candidates' midpoint
+        pair,
+        line_instance((0, 3, 3), (3, 3, 0, 0), k=1),  # coincident candidates
+        line_instance((0, 3, 3), (3, 3, 0, 0), k=2),
+        line_instance((2, 2), (2, 5, 2), k=1),  # every cost 0: 0/0 is 1
+        metric_instance(((0, 1, 1), (1, 0, 2), (1, 2, 0)), (2, 3), (2, 3, 1, 1), k=1),
+    ]
+    for instance in cases:
+        for spec in specs_for(instance):
+            assert_evaluation_matches(instance, spec.apply(instance))
+    assert evaluate(cases[4], LEFTMOST.apply(cases[4]), "mc") == (0, 0, 1)
+    assert evaluate(cases[4], Deterministic((2,)), "sc") == (6, 0, INFINITE_RATIO)
+    # two-extremes reports its left facility first, here the larger index,
+    # so only the sorted selection is a key of the table
+    spread = line_instance((0, 5, 10), (10, 0, 4), k=2)
+    outcome = TWO_EXTREMES.apply(spread)
+    assert outcome.selection == (2, 1)
+    assert_evaluation_matches(spread, outcome)
+    assert evaluate(spread, outcome, "sc").cost == 5
 
 
 # ---------------------------------------------------------------------------
