@@ -10,7 +10,7 @@ Exit codes: 0 success, 2 parse or usage failure (including an argument
 out of range and an output file that cannot be written), 3 enumeration
 guard exceeded, 4 mechanism/space mismatch.
 The environment variable FLG_GUARD, a positive integer, overrides the
-default enumeration guard of 10^7.
+default enumeration guard of 10^7 for every subcommand.
 The parser is built on the first main call and reused for the rest of
 the process; FLG_GUARD, and every module name a handler calls, are
 still read on every call.
@@ -321,7 +321,7 @@ def cmd_replay(args, guard: int) -> int:
     mechanism = parse_mechanism(args.mechanism)
     eps = _parse_exact(args.epsilon, "--epsilon")
     report = replay_lower_bound(
-        args.construction, mechanism, eps=eps, far=_parse_exact(args.L, "--L")
+        args.construction, mechanism, eps=eps, far=_parse_exact(args.L, "--L"), guard=guard
     )
     payload = {
         "command": "replay",

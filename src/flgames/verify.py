@@ -132,11 +132,10 @@ def misreport_set(
     agent and holds every agent's true location, which the search
     skips, so each agent tries exactly len(set) - 1 reports.
 
-    Before building a point it raises ValueError for a max_coalition
-    outside 1..n and, on the line, GuardExceeded for a grid the search
-    must refuse: the grid's points are distinct, so the search tries at
-    least joint_misreport_count(n, grid_points - 1, max_coalition)
-    joint reports."""
+    The set is counted before any point is built.  Raises ValueError
+    for a max_coalition outside 1..n, and GuardExceeded when
+    joint_misreport_count(n, len(set) - 1, max_coalition) exceeds the
+    guard, so it refuses exactly what find_group_deviation refuses."""
     points, stored = _misreports(instance, grid_points, guard, max_coalition)
     if instance.scaled is None:
         return points
@@ -145,38 +144,40 @@ def misreport_set(
 
 def _misreports(instance: Instance, grid_points: int, guard: int, max_coalition: int):
     """misreport_set's checks, then its reports and the locations they go
-    with, both in the form an instance stores (Instance._trusted): on the
-    line ints over one scale (_line_grid), on a finite metric the points
-    and the instance's (agents, candidates)."""
+    with, in the form an instance stores (Instance._trusted): on the line
+    ascending ints beside the int form rescaled by max(grid_points - 1, 1),
+    which every grid step divides; on a finite metric the points beside
+    the instance's (agents, candidates)."""
     if type(grid_points) is not int or grid_points < 0:
         raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
-    # counted on every space, so max_coalition's range is checked there too;
-    # clamped at 0: for grid_points <= 1 a negative base would alternate in sign
-    least = joint_misreport_count(instance.n, max(grid_points - 1, 0), max_coalition)
     if instance.scaled is None:
-        return tuple(range(1, instance.space.size + 1)), instance.points
-    if least > guard:
-        raise GuardExceeded(f"{grid_points}-point grid exceeds the guard of {guard}")
-    return _line_grid(instance.scaled, grid_points)
+        size = instance.space.size
+    else:
+        agents, candidates, scale = instance.scaled
+        factor = max(grid_points - 1, 1)
+        agents = tuple(v * factor for v in agents)
+        candidates = tuple(v * factor for v in candidates)
+        scale *= factor
+        locations = set(agents + candidates)
+        lo, hi = min(locations), max(locations)
+        span = max(hi - lo, scale)
+        start = lo - span
+        step = (hi - lo + 2 * span) // factor
+        # each location's offset from start is in [span, (grid_points - 1) * step],
+        # or in (0, step) for under 2 points: on the grid iff step divides it
+        size = grid_points + sum(1 for v in locations if (v - start) % step)
+    total = joint_misreport_count(instance.n, size - 1, max_coalition)
+    if total > guard:
+        raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
+    if instance.scaled is None:
+        return tuple(range(1, size + 1)), instance.points
+    return _line_grid(locations, start, step, grid_points), (agents, candidates, scale)
 
 
-def _line_grid(scaled, grid_points: int):
-    """The line's misreport set as ascending ints, and the int form
-    (agent ints, candidate ints, scale) it is read against: `scaled`
-    rescaled by grid_points - 1 (at least 1), so that every grid step
-    divides exactly and a span of 1 is the new scale."""
-    agents, candidates, scale = scaled
-    factor = max(grid_points - 1, 1)
-    agents = tuple(v * factor for v in agents)
-    candidates = tuple(v * factor for v in candidates)
-    scale *= factor
-    locations = agents + candidates
-    lo, hi = min(locations), max(locations)
-    span = max(hi - lo, scale)
-    start = lo - span
-    step = (hi + span - start) // factor
-    points = set(locations).union(start + t * step for t in range(grid_points))
-    return tuple(sorted(points)), (agents, candidates, scale)
+def _line_grid(locations: set, start: int, step: int, grid_points: int) -> tuple:
+    """The line's misreport set as ascending ints: the locations and the
+    grid of grid_points points from start on, step apart."""
+    return tuple(sorted(locations.union(range(start, start + grid_points * step, step))))
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +256,12 @@ def find_group_deviation(
     idle member implies a smaller-coalition witness, which the
     size-ascending scan finds first.  Each agent tries every point of
     misreport_set(instance, grid_points, guard, max_coalition) but its
-    own location.  Raises what misreport_set raises, then GuardExceeded
-    if the total number of joint reports to try,
-    joint_misreport_count(n, len(set) - 1, max_coalition), exceeds the
-    guard, and then, for a deterministic rule, if the candidate
-    multisets the cut enumerates do.
+    own location.  Raises what misreport_set raises, before building the
+    set, and then, for a deterministic rule, GuardExceeded if the
+    candidate multisets the cut enumerates exceed the guard.
     """
     n = instance.n
     points, stored = _misreports(instance, grid_points, guard, max_coalition)
-    total = joint_misreport_count(n, len(points) - 1, max_coalition)
-    if total > guard:
-        raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
     agents, candidates = stored[:2]
     options = [points[:j] + points[j + 1 :] for j in map(points.index, agents)]
     truthful = mechanism.apply(instance)
@@ -459,8 +455,9 @@ def replay_lower_bound(
     mechanism,
     eps,
     far=Fraction(1000),
+    guard: int = DEFAULT_GUARD,
 ) -> ReplayReport:
-    """Run one lower-bound construction at concrete parameter values."""
+    """Run one lower-bound construction at concrete parameter values under the guard."""
     if construction not in _REPLAY_TABLE:
         raise ValueError(
             f"unknown construction {construction!r}; expected one of {REPLAY_CONSTRUCTIONS}"
@@ -472,7 +469,7 @@ def replay_lower_bound(
     shifted = build_paper_instance(PaperConstruction(shifted_name, eps=eps, far=far))
     outcome_base = mechanism.apply(base)
     outcome_shifted = mechanism.apply(shifted)
-    ratio_shifted = evaluate(shifted, outcome_shifted, "mc").ratio
+    ratio_shifted = evaluate(shifted, outcome_shifted, "mc", guard).ratio
     # agent 2's lie: with everyone else truthful, reporting 3 turns the
     # base profile into the shifted one
     cost_truthful = outcome_agent_cost(base, outcome_base, 2)
@@ -486,7 +483,7 @@ def replay_lower_bound(
         instance_shifted=shifted,
         outcome_base=outcome_base,
         outcome_shifted=outcome_shifted,
-        ratio_base=evaluate(base, outcome_base, "mc").ratio,
+        ratio_base=evaluate(base, outcome_base, "mc", guard).ratio,
         ratio_shifted=ratio_shifted,
         beats_bound=beats,
         manipulator=2,

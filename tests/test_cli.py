@@ -685,27 +685,37 @@ def test_exit_guard(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLG_GUARD", "1")
     assert main(["solve", path, "--objective", "mc"]) == EXIT_GUARD
     assert main(["verify", path, "--mechanism", "leftmost"]) == EXIT_GUARD
+    capsys.readouterr()
+    replay = ["replay", "--construction", "two-deterministic", "--mechanism", "two-extremes"]
+    assert main(replay + ["--epsilon", "1/10"]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "guard exceeded: 6 candidate multisets exceed the guard of 1\n"
     monkeypatch.setenv("FLG_GUARD", "not-a-number")
     assert main(["solve", path, "--objective", "mc"]) == EXIT_PARSE
     capsys.readouterr()
 
 
 def test_verify_refuses_a_grid_past_the_guard_before_building_it(tmp_path, capsys, monkeypatch):
-    """Every agent tries at least grid - 1 reports, so once n * (grid - 1)
-    exceeds the guard no grid point is built."""
+    """The misreport set is counted exactly before it is built, so once
+    n * (|set| - 1) exceeds the guard no grid point is built."""
     scaled = []
     real = verify._line_grid
     monkeypatch.setattr(verify, "_line_grid", lambda *args: scaled.append(1) or real(*args))
     path = write_instance(tmp_path, instance_to_json(LB_BASE))  # n = 2
     monkeypatch.setenv("FLG_GUARD", "10")
-    for grid in ("300000", "7"):  # 2 * 6 = 12 > 10
+    # |set| is the grid plus the 4 locations less those on it: 300004, 9, 10
+    for grid in ("300000", "7", "6"):
         assert main(["verify", path, "--mechanism", "leftmost", "--grid", grid]) == EXIT_GUARD
     assert scaled == []
-    # 2 * 5 = 10 is within the bound: the grid is built, and the search's
-    # own count of 2 * 9 reports refuses it
-    assert main(["verify", path, "--mechanism", "leftmost", "--grid", "6"]) == EXIT_GUARD
+    assert capsys.readouterr().err == "".join(
+        f"guard exceeded: {count} joint misreports exceed the guard of 10\n"
+        for count in (600006, 16, 18)
+    )
+    # 2 of the 4 locations are on a 4-point grid: 2 * 5 = 10 is within the guard
+    assert main(["verify", path, "--mechanism", "leftmost", "--grid", "4"]) == EXIT_OK
     assert scaled
-    assert capsys.readouterr().err.count("guard exceeded: ") == 3
+    assert json.loads(capsys.readouterr().out)["searched"]["joint_misreports"] == 10
     # a metric space searches its points, whatever the grid
     metric_path = write_instance(tmp_path, METRIC_JSON, "metric.json")
     assert main(["verify", metric_path, "--mechanism", "dictator:1", "--grid", "300000"]) == EXIT_OK
@@ -713,23 +723,26 @@ def test_verify_refuses_a_grid_past_the_guard_before_building_it(tmp_path, capsy
 
 
 def test_verify_refuses_a_coalition_grid_past_the_guard_before_building_it(capsys, monkeypatch):
-    """Coalitions of up to --group-max agents try at least
-    sum over s of comb(n, s) * (grid - 1)**s joint reports, so the grid
+    """Coalitions of up to --group-max agents try
+    sum over s of comb(n, s) * (|set| - 1)**s joint reports, so the set
     is refused unbuilt once that exceeds the guard."""
     scaled = []
     real = verify._line_grid
     monkeypatch.setattr(verify, "_line_grid", lambda *args: scaled.append(1) or real(*args))
     monkeypatch.setenv("FLG_GUARD", "1000000")
-    # n = 5: 5 * 199999 is within the guard, 10 * 199999**2 more is not
+    # n = 5 and |set| = 200009: 5 * 200008 + 10 * 200008**2 joint reports
     argv = ["verify", str(GOLDEN), "--mechanism", "leftmost", "--group-max", "2", "--grid", "200000"]
+    message = "400033000680 joint misreports exceed the guard of 1000000"
     assert main(argv) == EXIT_GUARD
-    assert capsys.readouterr().err == "guard exceeded: 200000-point grid exceeds the guard of 1000000\n"
-    # the library search passes its coalition size to the same bound
+    assert capsys.readouterr().err == f"guard exceeded: {message}\n"
+    # the library search and the set pass the coalition size to the same count
     instance = instance_from_json(json.loads(GOLDEN.read_text()))
-    with pytest.raises(GuardExceeded, match="^200000-point grid exceeds the guard of 1000000$"):
+    with pytest.raises(GuardExceeded, match=f"^{message}$"):
         verify.find_group_deviation(
             instance, LEFTMOST, max_coalition=2, grid_points=200000, guard=10**6
         )
+    with pytest.raises(GuardExceeded, match=f"^{message}$"):
+        verify.misreport_set(instance, 200000, guard=10**6, max_coalition=2)
     assert scaled == []
 
 

@@ -1,10 +1,14 @@
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from flgames import verify
+from flgames.cli import load_instance
 from flgames.core import (
     Deterministic,
     Randomized,
@@ -197,7 +201,7 @@ def test_group_search_guard_and_bounds():
         find_group_deviation(LB_BASE, MEAN, max_coalition=3)
     with pytest.raises(ValueError):
         find_group_deviation(LB_BASE, MEAN, max_coalition=0)
-    # the set refuses a coalition bound out of range before its grid guard
+    # the set refuses a coalition bound out of range before its guard
     for bound in (0, 3):
         with pytest.raises(ValueError, match=f"^max_coalition must be in 1..2, got {bound}$"):
             misreport_set(LB_BASE, grid_points=10**9, max_coalition=bound)
@@ -522,6 +526,59 @@ def test_count_is_the_work_of_an_uncut_search(case, grid_points):
         assert counting.calls <= 1 + joint
 
 
+METRIC_FIXTURE = load_instance(str(Path(__file__).parent / "data" / "metric_n3_m2_k1.json"))
+
+
+@st.composite
+def guard_cases(draw):
+    """A tie-heavy line instance on halves, with agents on candidates, on
+    candidate midpoints and on grid points, or the metric fixture; a grid,
+    a coalition bound, the exact joint count, and a guard around it."""
+    grid_points = draw(st.integers(0, 6))
+    if draw(st.integers(0, 3)) == 0:
+        instance = METRIC_FIXTURE
+    else:
+        candidates = draw(st.lists(HALVES, min_size=1, max_size=3))
+        agents = draw(st.lists(HALVES, min_size=1, max_size=2))
+        lo, hi = min(agents + candidates), max(agents + candidates)
+        # spots inside [lo, hi] leave the range, and so the grid, unchanged
+        grid = misreport_set(line_instance(agents, candidates), grid_points)
+        spots = candidates + [(a + b) / 2 for a in candidates for b in candidates]
+        spots += [p for p in grid if lo <= p <= hi]
+        agents += draw(st.lists(st.sampled_from(spots), max_size=2))
+        instance = line_instance(agents, candidates)
+    max_coalition = draw(st.integers(1, min(3, instance.n)))
+    size = len(misreport_set(instance, grid_points, 10**9, max_coalition))
+    count = joint_misreport_count(instance.n, size - 1, max_coalition)
+    guard = draw(st.integers(max(count - 2, 0), count + 2))
+    return instance, grid_points, max_coalition, count, guard
+
+
+@given(case=guard_cases())
+@settings(max_examples=200, deadline=None)
+def test_set_and_search_refuse_exactly_past_the_guard_before_building(case):
+    """misreport_set and find_group_deviation count the set before building
+    it: each raises GuardExceeded exactly when
+    joint_misreport_count(n, len(set) - 1, max_coalition) exceeds the
+    guard, and then has built no grid point."""
+    instance, grid_points, max_coalition, count, guard = case
+    built, real = [], verify._line_grid
+    calls = (
+        lambda: misreport_set(instance, grid_points, guard, max_coalition),
+        lambda: find_group_deviation(instance, RD, max_coalition, grid_points, guard),
+    )
+    with mock.patch.object(verify, "_line_grid", lambda *args: built.append(1) or real(*args)):
+        for call in calls:
+            built.clear()
+            if count <= guard:
+                call()
+                continue
+            message = f"^{count} joint misreports exceed the guard of {guard}$"
+            with pytest.raises(GuardExceeded, match=message):
+                call()
+            assert built == []
+
+
 def test_every_profile_arrives_with_its_own_ints():
     family = random_instance(RandomFamily("line-uniform", n=4, m=3, k=1, seed=7), 3)
     pair = line_instance((F(-1, 3), F(1, 7), 2, F(5, 2)), (0, F(1, 2), 3), k=2)
@@ -759,17 +816,6 @@ def test_far_missing_is_the_mass_skipping_the_far_candidate():
         plain = sum((p for det, p in support if 3 not in det.selection), F(0))
         assert _far_missing(outcome, 3) == plain
     assert _far_missing(lottery, 3) == F(2, 3)
-
-
-class CountingRule:
-    """A rule that counts its apply calls."""
-
-    def __init__(self, rule):
-        self.rule, self.calls = rule, 0
-
-    def apply(self, instance):
-        self.calls += 1
-        return self.rule.apply(instance)
 
 
 def test_replay_applies_the_rule_once_per_profile():
