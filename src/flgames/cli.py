@@ -41,10 +41,10 @@ from .solver import DEFAULT_GUARD, GuardExceeded, evaluate, optimal
 from .verify import (
     DEFAULT_GRID_POINTS,
     REPLAY_CONSTRUCTIONS,
+    _misreport_count,
     find_group_deviation,
     iter_sweep,
     joint_misreport_count,
-    misreport_set,
     replay_lower_bound,
 )
 
@@ -255,7 +255,7 @@ def cmd_verify(args, guard: int) -> int:
     mechanism = parse_mechanism(args.mechanism)
     witness = find_group_deviation(instance, mechanism, args.group_max, args.grid, guard)
     if witness is None:
-        tried = len(misreport_set(instance, args.grid, guard, args.group_max)) - 1
+        tried = _misreport_count(instance, args.grid)[0] - 1
         payload = {
             "command": "verify",
             "mechanism": mechanism.label(),
@@ -295,12 +295,11 @@ def cmd_sweep(args, guard: int) -> int:
     family = RandomFamily(args.family, args.n, args.m, args.k, args.seed)
     mechanism = parse_mechanism(args.mechanism)
     lines = ["index,n,m,k,mech_cost,opt_cost,ratio"]
+    # every instance of a family has its n, m and k
+    sizes = f"{family.n},{family.m},{family.k}"
     worst = None
     for row in iter_sweep(family, mechanism, args.objective, args.count, guard):
-        lines.append(
-            f"{row.index},{row.instance.n},{row.instance.m},{row.instance.k},"
-            f"{row.mechanism_cost},{row.optimal_cost},{row.ratio}"
-        )
+        lines.append(f"{row.index},{sizes},{row.mechanism_cost},{row.optimal_cost},{row.ratio}")
         if worst is None or row.ratio > worst:
             worst = row.ratio
     lines.append(f"max,,,,,,{'n/a' if worst is None else worst}")

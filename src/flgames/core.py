@@ -23,7 +23,11 @@ weights over one positive denominator, in lowest terms
 (Randomized.scaled), and a selection is its own point mass.
 outcome_cost and outcome_agent_cost return Fraction(int, denominator *
 scale) and the solver's optimum Fraction(int, scale), the exact values;
-distance() is the plain rational definition.
+distance() is the plain rational definition.  selection_cost costs a
+selection off the table's columns one agent at a time; the solver's
+table for two facilities on the line reads the same rows in agent
+position order instead, where each facility of a pair serves one
+contiguous block of agents (solver._line_pair_table).
 """
 
 from __future__ import annotations

@@ -5,15 +5,26 @@ With at most two facilities the search space is every multiset of k
 candidate indices; enumeration is guarded so a pathological instance
 fails loudly instead of hanging.  One table of multiset costs, on the core's
 integer table (distance_rows), gives the optimum and evaluate's mechanism cost.
+
+For two facilities on the line that table is built from the agents in
+position order: each candidate of a pair serves one contiguous block of
+them, split at the pair's midpoint (Hassin & Tamir 1991, "Improved
+complexity bounds for location problems on the real line"), so prefix
+and suffix folds of each candidate's column and one bisect per pair cost
+every pair.  One facility needs no split, and a finite metric's points
+have no order to form blocks in, so both cost each selection off the
+columns one agent at a time (core.selection_cost).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import comb
+from operator import add
 from typing import NamedTuple, Union
 
 from .core import Deterministic, Instance, Outcome, cost_scale, distance_rows
@@ -80,8 +91,42 @@ def _cost_table(instance: Instance, objective: str, guard: int) -> dict[tuple[in
     keyed by its sorted tuple, in candidate_multisets order."""
     validate_objective(objective)
     selections = candidate_multisets(instance, guard)
+    if instance.k == 2 and instance.scaled is not None:
+        return _line_pair_table(instance, objective, selections)
     columns = tuple(zip(*distance_rows(instance)))
     return {selection: selection_cost(columns, selection, objective) for selection in selections}
+
+
+def _line_pair_table(instance: Instance, objective: str, selections) -> dict[tuple[int, int], int]:
+    """_cost_table for two facilities on the line.  Of two candidates at
+    y <= y', the one at y serves every agent x with 2x <= y + y' and the
+    other the rest (an agent at 2x = y + y' is as near to both), so over
+    the agents in position order each serves one contiguous block, split
+    by one bisect_right.  prefixes[t][j - 1] and suffixes[t][j - 1] fold
+    candidate j's distance_rows column over the t leftmost agents and over
+    the rest: sums for sc, maxima for mc, with 0 for no agent, as no cost
+    is below 0.  A pair joins its left candidate's prefix with its right
+    candidate's suffix at the split, left and right by position."""
+    agents, candidates, _ = instance.scaled
+    order = sorted(range(1, instance.n + 1), key=lambda i: agents[i - 1])
+    twice = [2 * agents[i - 1] for i in order]
+    rows = distance_rows(instance, order)
+    fold = add if objective == "sc" else max
+    prefixes = [[0] * instance.m]
+    for row in rows:
+        prefixes.append(list(map(fold, prefixes[-1], row)))
+    suffixes = [[0] * instance.m]
+    for row in reversed(rows):
+        suffixes.append(list(map(fold, suffixes[-1], row)))
+    suffixes.reverse()
+    table = {}
+    for pair in selections:
+        a, b = pair
+        ya, yb = candidates[a - 1], candidates[b - 1]
+        split = bisect_right(twice, ya + yb)
+        left, right = pair if ya <= yb else (b, a)
+        table[pair] = fold(prefixes[split][left - 1], suffixes[split][right - 1])
+    return table
 
 
 def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> OptResult:
@@ -117,9 +162,11 @@ def evaluate(
     table = _cost_table(instance, objective, guard)
     selections, weights, denominator = outcome.scaled
     value = sum(w * table[tuple(sorted(sel))] for sel, w in zip(selections, weights))
-    scale = cost_scale(instance)
-    cost, opt = Fraction(value, denominator * scale), Fraction(min(table.values()), scale)
-    return Evaluation(cost, opt, ratio_of(cost, opt))
+    best, scale = min(table.values()), cost_scale(instance)
+    cost, opt = Fraction(value, denominator * scale), Fraction(best, scale)
+    # over a positive optimum, cost / opt with the scale cancelled
+    quotient = Fraction(value, denominator * best) if best else ratio_of(cost, opt)
+    return Evaluation(cost, opt, quotient)
 
 
 def ratio(instance: Instance, mechanism, objective: str) -> Ratio:

@@ -148,30 +148,39 @@ def _misreports(instance: Instance, grid_points: int, guard: int, max_coalition:
     ascending ints beside the int form rescaled by max(grid_points - 1, 1),
     which every grid step divides; on a finite metric the points beside
     the instance's (agents, candidates)."""
-    if type(grid_points) is not int or grid_points < 0:
-        raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
-    if instance.scaled is None:
-        size = instance.space.size
-    else:
-        agents, candidates, scale = instance.scaled
-        factor = max(grid_points - 1, 1)
-        agents = tuple(v * factor for v in agents)
-        candidates = tuple(v * factor for v in candidates)
-        scale *= factor
-        locations = set(agents + candidates)
-        lo, hi = min(locations), max(locations)
-        span = max(hi - lo, scale)
-        start = lo - span
-        step = (hi - lo + 2 * span) // factor
-        # each location's offset from start is in [span, (grid_points - 1) * step],
-        # or in (0, step) for under 2 points: on the grid iff step divides it
-        size = grid_points + sum(1 for v in locations if (v - start) % step)
+    size, layout = _misreport_count(instance, grid_points)
     total = joint_misreport_count(instance.n, size - 1, max_coalition)
     if total > guard:
         raise GuardExceeded(f"{total} joint misreports exceed the guard of {guard}")
-    if instance.scaled is None:
+    if layout is None:
         return tuple(range(1, size + 1)), instance.points
-    return _line_grid(locations, start, step, grid_points), (agents, candidates, scale)
+    locations, start, step, stored = layout
+    return _line_grid(locations, start, step, grid_points), stored
+
+
+def _misreport_count(instance: Instance, grid_points: int):
+    """len(misreport_set(instance, grid_points)), counted without building
+    a point, and what _misreports builds the set from: None on a finite
+    metric; on the line the locations as ints, the grid's start and step,
+    and the int form, all rescaled by max(grid_points - 1, 1)."""
+    if type(grid_points) is not int or grid_points < 0:
+        raise ValueError(f"grid_points must be nonnegative, got {grid_points}")
+    if instance.scaled is None:
+        return instance.space.size, None
+    agents, candidates, scale = instance.scaled
+    factor = max(grid_points - 1, 1)
+    agents = tuple(v * factor for v in agents)
+    candidates = tuple(v * factor for v in candidates)
+    scale *= factor
+    locations = set(agents + candidates)
+    lo, hi = min(locations), max(locations)
+    span = max(hi - lo, scale)
+    start = lo - span
+    step = (hi - lo + 2 * span) // factor
+    # each location's offset from start is in [span, (grid_points - 1) * step],
+    # or in (0, step) for under 2 points: on the grid iff step divides it
+    size = grid_points + sum(1 for v in locations if (v - start) % step)
+    return size, (locations, start, step, (agents, candidates, scale))
 
 
 def _line_grid(locations: set, start: int, step: int, grid_points: int) -> tuple:

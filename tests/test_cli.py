@@ -244,6 +244,20 @@ def test_verify_clean_mechanism_reports_search_size(tmp_path, capsys, instance, 
     assert payload["searched"] == searched
 
 
+def test_clean_verify_builds_its_misreport_set_once(capsys, monkeypatch):
+    """The searched block reads the count the search checked against the
+    guard, so a clean verify builds the grid once, for the search."""
+    built = []
+    real = verify._line_grid
+    monkeypatch.setattr(verify, "_line_grid", lambda *args: built.append(1) or real(*args))
+    argv = ["verify", str(GOLDEN), "--mechanism", "leftmost", "--group-max", "2", "--grid", "9"]
+    code, payload = run_json(capsys, argv)
+    assert code == EXIT_OK and payload["result"] == "none"
+    assert len(built) == 1
+    tried = len(verify.misreport_set(instance_from_json(json.loads(GOLDEN.read_text())), 9)) - 1
+    assert payload["searched"]["misreports_per_agent"] == [tried] * 5
+
+
 def test_verify_group_flag(tmp_path, capsys):
     # resists every single lie, falls to the pair
     trap = line_instance((F(13, 8), F(15, 8), -4, -4), (0, 2), k=1)
@@ -529,6 +543,20 @@ PINNED_SWEEPS = {
         ["--family", "line-uniform", "--k", "2", "--mechanism", "two-extremes", "--objective", "sc"],
         "8dcacd0a872b5bbc670ba6fc9fa5f9693cd6038849d55d3730aaaa3fb05b4d6a",
     ),
+    "line-k2-two-extremes-mc": (
+        ["--family", "line-uniform", "--k", "2", "--mechanism", "two-extremes", "--objective", "mc"],
+        "6fed0f457abc278d84fb06ad9f8d6e1008f7d909379d64c8bcfdebdd720eedd2",
+    ),
+    "line-n20-m12-k2-two-extremes-sc": (
+        ["--family", "line-uniform", "--n", "20", "--m", "12", "--k", "2"]
+        + ["--mechanism", "two-extremes", "--objective", "sc"],
+        "ad00bb434ae14fc467945be809da5408b33aabe4ab1360e0bc8f0f819a5e1f57",
+    ),
+    "line-n20-m12-k2-two-extremes-mc": (
+        ["--family", "line-uniform", "--n", "20", "--m", "12", "--k", "2"]
+        + ["--mechanism", "two-extremes", "--objective", "mc"],
+        "a70aa5b727d8a01ec7486e94c361b2ec6be1c2e2cafc065f69d8468fc3e2f064",
+    ),
     "line-k1-rd-sc": (
         ["--family", "line-uniform", "--mechanism", "rd", "--objective", "sc"],
         "94192f6fa3284f10b9666faac7cb717a1b04b79ae0ed24e499dc06b7d227f7b0",
@@ -542,7 +570,8 @@ PINNED_SWEEPS = {
 
 @pytest.mark.parametrize("case", list(PINNED_SWEEPS))
 def test_sweep_csv_bytes_are_pinned(capsys, case):
-    """200 rows at n=5, m=4, seed 17; the first case is A8's sweep."""
+    """200 rows at seed 17, at n=5, m=4 unless a case sets --n and --m;
+    the first case is A8's sweep."""
     flags, digest = PINNED_SWEEPS[case]
     argv = ["sweep", "--n", "5", "--m", "4", "--seed", "17", "--count", "200"] + flags
     assert stdout_sha256(capsys, argv) == digest

@@ -48,7 +48,7 @@ from flgames.mechanisms import (
     dictator_spec,
     wpv_spec,
 )
-from flgames.solver import INFINITE_RATIO, OptResult, evaluate, optimal, ratio_of
+from flgames.solver import INFINITE_RATIO, Evaluation, OptResult, evaluate, optimal, ratio_of
 from flgames.verify import _lowers, _SelectionCosts
 
 # ---------------------------------------------------------------------------
@@ -135,23 +135,33 @@ COARSE = st.integers(-6, 6).map(lambda v: F(v, 2))
 
 
 @st.composite
-def line_instances(draw, coord=COORD, ks=(1, 2)):
-    candidates = draw(st.lists(coord, min_size=1, max_size=5))
-    agents = draw(st.lists(coord, min_size=1, max_size=6))
+def line_instances(draw, coord=COORD, ks=(1, 2), candidate_count=(1, 5), agent_count=(1, 6)):
+    """k from ks, and as many candidates and agents as the (least, most)
+    counts allow."""
+    candidates = draw(st.lists(coord, min_size=candidate_count[0], max_size=candidate_count[1]))
+    agents = draw(st.lists(coord, min_size=agent_count[0], max_size=agent_count[1]))
     return line_instance(agents, candidates, k=draw(st.sampled_from(ks)))
 
 
 @st.composite
-def tie_instances(draw, ks=(1, 2)):
+def tie_instances(draw, ks=(1, 2), base_count=(1, 4), agent_count=(1, 5)):
     """Agents on candidate midpoints, co-located candidates, and a mean
-    that lands on a midpoint, with candidates eps apart."""
-    base = draw(st.lists(COORD, min_size=1, max_size=4))
+    that lands on a midpoint, with candidates eps apart: as many drawn
+    candidates as the (least, most) base_count allows and up to four
+    more, as many agents as agent_count allows and up to one more."""
+    base = draw(st.lists(COORD, min_size=base_count[0], max_size=base_count[1]))
     eps = draw(EPS)
     candidates = base + [c + eps for c in draw(st.lists(st.sampled_from(base), max_size=2))]
     candidates += draw(st.lists(st.sampled_from(candidates), max_size=2))
     candidates = draw(st.permutations(candidates))
     midpoints = [(a + b) / 2 for a in candidates for b in candidates]
-    agents = draw(st.lists(st.sampled_from(midpoints + candidates), min_size=1, max_size=5))
+    agents = draw(
+        st.lists(
+            st.sampled_from(midpoints + candidates),
+            min_size=agent_count[0],
+            max_size=agent_count[1],
+        )
+    )
     if draw(st.booleans()):
         # the last agent pulls the mean exactly onto a midpoint
         target = draw(st.sampled_from(midpoints))
@@ -489,6 +499,39 @@ def test_evaluation_on_hand_built_ties():
     assert outcome.selection == (2, 1)
     assert_evaluation_matches(spread, outcome)
     assert evaluate(spread, outcome, "sc").cost == 5
+
+
+# ---------------------------------------------------------------------------
+# the line's pair table at more agents and candidates than the draws above
+
+
+LARGE_LINE_INSTANCES = st.one_of(
+    line_instances(candidate_count=(6, 12), agent_count=(7, 25)),
+    line_instances(coord=COARSE, candidate_count=(6, 12), agent_count=(7, 25)),
+    tie_instances(base_count=(6, 8), agent_count=(7, 24)),
+)
+
+
+@given(instance=LARGE_LINE_INSTANCES, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_optimum_and_evaluation_match_reference_at_larger_sizes(instance, data):
+    """Up to 25 agents and 12 candidates, with coincident candidates and
+    agents on pair midpoints: optimal is ref_optimal, and evaluate is
+    ref_outcome_cost against the reference optimum, for every rule on the
+    instance and a drawn outcome, on k=2 also a lottery over pairs drawn
+    unsorted and reversed."""
+    assert_optimal_matches_reference(instance)
+    drawn = [data.draw(outcomes(instance))]
+    drawn += [spec.apply(instance) for spec in specs_for(instance)]
+    if instance.k == 2:
+        drawn.append(data.draw(pair_lotteries(instance)))
+    for objective in OBJECTIVES:
+        opt = ref_optimal(instance, objective).value
+        for outcome in dict.fromkeys(drawn):
+            cost = ref_outcome_cost(instance, outcome, objective)
+            want = Evaluation(cost, opt, ratio_of(cost, opt))
+            got = evaluate(instance, outcome, objective)
+            assert got == want and repr(got) == repr(want), (objective, outcome, instance)
 
 
 # ---------------------------------------------------------------------------
