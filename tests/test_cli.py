@@ -557,6 +557,20 @@ PINNED_SWEEPS = {
         + ["--mechanism", "two-extremes", "--objective", "mc"],
         "a70aa5b727d8a01ec7486e94c361b2ec6be1c2e2cafc065f69d8468fc3e2f064",
     ),
+    "line-n1-k2-two-extremes-mc": (
+        ["--family", "line-uniform", "--n", "1", "--k", "2"]
+        + ["--mechanism", "two-extremes", "--objective", "mc"],
+        "e6bcc00dbfae27886da04498c724735ecdc5eac81fdc927396fdbb0273e1706f",
+    ),
+    "line-n1-k2-two-extremes-sc": (
+        ["--family", "line-uniform", "--n", "1", "--k", "2"]
+        + ["--mechanism", "two-extremes", "--objective", "sc"],
+        "e6bcc00dbfae27886da04498c724735ecdc5eac81fdc927396fdbb0273e1706f",
+    ),
+    "line-k1-leftmost-mc": (
+        ["--family", "line-uniform", "--mechanism", "leftmost", "--objective", "mc"],
+        "61e67d2098eadd320e424f8cff5a53cb1fdcab748d21f657704e8a2bc739e0fe",
+    ),
     "line-k1-rd-sc": (
         ["--family", "line-uniform", "--mechanism", "rd", "--objective", "sc"],
         "94192f6fa3284f10b9666faac7cb717a1b04b79ae0ed24e499dc06b7d227f7b0",
