@@ -16,18 +16,19 @@ Conventions:
 One routine checks a finite metric's matrix and closes it under shortest
 paths: FiniteMetric raises at its first shortcut, _closure keeps it closed.
 
-Every cost is read off one table, distance_rows: each agent's distance
-to each candidate as an int over the instance's one positive scale.  An
+Every cost is read on ints over the instance's one positive scale, as
+in distance_rows: each agent's distance to each candidate, scaled.  An
 outcome is weighted on ints too: a lottery is stored only as int
 weights over one positive denominator, in lowest terms
 (Randomized.scaled), and a selection is its own point mass.
 outcome_cost and outcome_agent_cost return Fraction(int, denominator *
 scale) and the solver's optimum Fraction(int, scale), the exact values;
 distance() is the plain rational definition.  selection_cost costs a
-selection off the table's columns one agent at a time; the solver's
-table for two facilities on the line reads the same rows in agent
-position order instead, where each facility of a pair serves one
-contiguous block of agents (solver._line_pair_table).
+selection off the table's columns one agent at a time, as the solver
+does on a finite metric.  On the line the solver reads the same ints in
+agent position order instead, where each facility of a selection serves
+one contiguous block of agents, and costs blocks, not agents
+(solver._LineBlocks).
 """
 
 from __future__ import annotations
@@ -414,7 +415,8 @@ def distance_rows(instance: Instance, indices: Optional[Sequence[int]] = None) -
     """Per agent (1-based indices, all by default), its distance to each
     candidate as an int over cost_scale(instance), on either space.  All
     rows share that one scale, so they compare and add exactly as the
-    rational distances do; this table is the one definition of cost."""
+    rational distances do.  On the line, solver._LineBlocks computes the
+    same ints from the instance's ints without building the table."""
     if indices is None:
         indices = range(1, instance.n + 1)
     if instance.scaled is not None:

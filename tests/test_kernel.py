@@ -501,6 +501,32 @@ def test_evaluation_on_hand_built_ties():
     assert evaluate(spread, outcome, "sc").cost == 5
 
 
+def test_evaluation_on_one_block():
+    """Edge cases of the line's blocks: every selection of k candidates,
+    in either order, is evaluated against ref_outcome_cost and the
+    reference optimum, on both objectives, k = 1 and k = 2."""
+    cases = [
+        ((3,), (0, 2, 7)),  # one agent: every split leaves a block empty
+        ((F(5, 2),) * 3, (0, 5, 3)),  # all agents at one point
+        ((0, 4), (1, 3)),  # the agents' midpoint exactly between two candidates
+        ((0, 4), (1, 4)),  # ... nearer the left of its two neighbours
+        ((0, 1, 2, 5), (1, 10)),  # the pair splits at n: its right facility serves nobody
+        ((0, 1, 2, 5), (-10, 1)),  # ... at 0: its left facility serves nobody
+        ((0, 3, 3, 9), (3, 3, 0, 9, 0)),  # coincident candidates
+    ]
+    for agents, candidates in cases:
+        for k in (1, 2):
+            instance = line_instance(agents, candidates, k=k)
+            selections = list(itertools.product(range(1, instance.m + 1), repeat=k))
+            for objective in OBJECTIVES:
+                opt = ref_optimal(instance, objective).value
+                for selection in selections:
+                    outcome = Deterministic(selection)
+                    cost = ref_outcome_cost(instance, outcome, objective)
+                    want = Evaluation(cost, opt, ratio_of(cost, opt))
+                    assert evaluate(instance, outcome, objective) == want, (objective, selection, instance)
+
+
 # ---------------------------------------------------------------------------
 # the line's pair table at more agents and candidates than the draws above
 

@@ -1,15 +1,24 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flgames.core import Deterministic, line_instance, outcome_cost, permute_agents
+from flgames.core import (
+    Deterministic,
+    Randomized,
+    line_instance,
+    metric_instance,
+    outcome_cost,
+    permute_agents,
+)
 from flgames.instances import PaperConstruction, build_paper_instance
 from flgames.mechanisms import LEFTMOST, MEDIAN, RD, TWO_EXTREMES
 from flgames.solver import (
     INFINITE_RATIO,
     GuardExceeded,
+    evaluate,
     optimal,
     ratio,
     ratio_of,
@@ -74,6 +83,27 @@ def test_guard():
     with pytest.raises(GuardExceeded, match="^6 candidate multisets exceed the guard of 5$"):
         optimal(inst, "sc", guard=5)
     assert optimal(inst, "sc", guard=6).value == 0
+
+
+def test_evaluate_rejects_a_selection_that_is_not_k_candidates():
+    """A selection of the wrong size, or naming a candidate past m, is
+    refused by name on either space, after the guard's count check."""
+    line = line_instance((1, 2, 3), (0, 4), k=2)
+    metric = metric_instance(((0, 1), (1, 0)), (1, 2), (1, 2), k=2)
+    for instance in (line, metric):
+        for selection in ((1,), (1, 2, 2), (1, 3)):
+            message = f"^selection {re.escape(str(selection))} does not hold k=2 candidate indices in 1..2$"
+            for objective in ("sc", "mc"):
+                with pytest.raises(ValueError, match=message):
+                    evaluate(instance, Deterministic(selection), objective)
+        mixed = Randomized(((Deterministic((1, 2)), F(1, 2)), (Deterministic((2,)), F(1, 2))))
+        with pytest.raises(ValueError, match=re.escape("selection (2,) does not hold k=2")):
+            evaluate(instance, mixed, "sc")
+        with pytest.raises(GuardExceeded, match="^3 candidate multisets exceed the guard of 2$"):
+            evaluate(instance, Deterministic((1,)), "sc", guard=2)
+    single = line_instance((1, 2, 3), (0, 4), k=1)
+    with pytest.raises(ValueError, match=re.escape("selection (1, 2) does not hold k=1")):
+        evaluate(single, Deterministic((1, 2)), "mc")
 
 
 def test_ratio_of_conventions():
