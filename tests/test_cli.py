@@ -22,13 +22,13 @@ from flgames.cli import (
     put_scalar,
 )
 from flgames.core import line_instance, metric_instance
-from flgames.instances import PaperConstruction, build_paper_instance
 from flgames.mechanisms import LEFTMOST, TWO_EXTREMES
 from flgames.solver import INFINITE_RATIO, GuardExceeded
 
+from strategies import LB_BASE, build
+
 GOLDEN = Path(__file__).parent / "data" / "golden_line_n5_m4_seed42_idx3.json"
-LB_SHIFTED = build_paper_instance(PaperConstruction("single-lb-I-prime", eps=F(1, 10)))
-LB_BASE = build_paper_instance(PaperConstruction("single-lb-I", eps=F(1, 10)))
+LB_SHIFTED = build("single-lb-I-prime", eps=F(1, 10))
 
 METRIC_JSON = {
     "space": "metric",

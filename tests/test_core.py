@@ -21,6 +21,8 @@ from flgames.core import (
 )
 from flgames.mechanisms import wpv_spec
 
+from strategies import QUARTERS, line_instances, outcomes
+
 EPS = F(1, 10)
 LB_BASE = line_instance((1 - EPS, 1 + EPS), (0, 2), k=1)
 
@@ -247,30 +249,16 @@ def test_permute_agents():
 # ---------------------------------------------------------------------------
 # properties
 
-coordinate = st.integers(min_value=-40, max_value=40).map(lambda v: F(v, 4))
-
-
-@st.composite
-def small_line_instances(draw, k=1):
-    agents = draw(st.lists(coordinate, min_size=1, max_size=5))
-    candidates = draw(st.lists(coordinate, min_size=1, max_size=4))
-    return line_instance(agents, candidates, k)
-
-
-@st.composite
-def selections(draw, instance):
-    size = instance.k
-    return Deterministic(
-        tuple(draw(st.integers(min_value=1, max_value=instance.m)) for _ in range(size))
-    )
+SINGLE = line_instances(coord=QUARTERS, ks=(1,), candidate_count=(1, 4), agent_count=(1, 5))
+PAIR = line_instances(coord=QUARTERS, ks=(2,), candidate_count=(1, 4), agent_count=(1, 5))
 
 
 @given(data=st.data())
 @settings(max_examples=60)
 def test_cost_bounds(data):
     """Property: max cost <= social cost <= n * max cost."""
-    inst = data.draw(small_line_instances(k=1))
-    outcome = data.draw(selections(inst))
+    inst = data.draw(SINGLE)
+    outcome = data.draw(outcomes(inst, lotteries=False))
     sc = outcome_cost(inst, outcome, "sc")
     mc = outcome_cost(inst, outcome, "mc")
     assert mc <= sc <= inst.n * mc
@@ -280,7 +268,7 @@ def test_cost_bounds(data):
 @settings(max_examples=60)
 def test_extra_facility_never_hurts(data):
     """Property: opening a second facility never raises any agent's cost."""
-    inst = data.draw(small_line_instances(k=2))
+    inst = data.draw(PAIR)
     j1 = data.draw(st.integers(min_value=1, max_value=inst.m))
     j2 = data.draw(st.integers(min_value=1, max_value=inst.m))
     single = Deterministic((j1, j1))
@@ -293,8 +281,8 @@ def test_extra_facility_never_hurts(data):
 @settings(max_examples=60)
 def test_point_mass_expectation_property(data):
     """Property: a one-point distribution costs exactly its outcome."""
-    inst = data.draw(small_line_instances(k=1))
-    outcome = data.draw(selections(inst))
+    inst = data.draw(SINGLE)
+    outcome = data.draw(outcomes(inst, lotteries=False))
     for objective in ("sc", "mc"):
         assert outcome_cost(inst, Randomized(((outcome, 1),)), objective) == outcome_cost(
             inst, outcome, objective

@@ -14,20 +14,17 @@ from flgames.core import FiniteMetric, Line, line_instance
 from flgames.instances import (
     CONSTRUCTION_NAMES,
     FAMILY_KINDS,
-    GRID_DENOMINATOR,
     PaperConstruction,
     RandomFamily,
-    build_paper_instance,
     metric_closure,
     random_instance,
 )
 from flgames.mechanisms import dictator_spec
 
+from reference import fraction_route
+from strategies import build, symmetric_matrices
+
 DATA = Path(__file__).parent / "data"
-
-
-def build(name, **kwargs):
-    return build_paper_instance(PaperConstruction(name, **kwargs))
 
 
 def test_single_facility_lower_bound_pair():
@@ -36,6 +33,8 @@ def test_single_facility_lower_bound_pair():
     assert base.agents == (F(9, 10), F(11, 10))
     assert base.candidates == (F(0), F(2))
     assert base.k == 1
+    # the instance test_core writes out as LB_BASE
+    assert base == line_instance((F(9, 10), F(11, 10)), (0, 2), k=1)
     shifted = build("single-lb-I-prime", eps=eps)
     assert shifted.agents == (F(9, 10), F(3))
     assert shifted.candidates == base.candidates
@@ -95,7 +94,7 @@ def test_construction_parameter_validation():
 
 def test_every_construction_builds():
     for name in CONSTRUCTION_NAMES:
-        inst = build_paper_instance(PaperConstruction(name, eps=F(1, 100)))
+        inst = build(name, eps=F(1, 100))
         assert inst.n >= 1 and inst.m >= 1
 
 
@@ -179,17 +178,6 @@ def test_gate_families_draw_pinned_instances(family, digest):
     for index in range(200):
         h.update(repr(random_instance(family, index)).encode() + b"\n")
     assert h.hexdigest() == digest
-
-
-def fraction_route(family, index):
-    """A line family's draw written on Fractions: each coordinate
-    Fraction(draw, GRID_DENOMINATOR), through the public constructor."""
-    rng = instances._stream(family, index)
-    draws = [
-        F(instances._uniform_int(rng, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
-        for _ in range(family.n + family.m)
-    ]
-    return line_instance(draws[: family.n], draws[family.n :], family.k)
 
 
 def assert_same_instance(got, want):
@@ -322,21 +310,10 @@ def test_closure_rejects_malformed_input():
         metric_closure(((1,),))
 
 
-weight = st.integers(min_value=0, max_value=60).map(lambda v: F(v, 6))
+RAW_SYMMETRIC = symmetric_matrices(st.integers(0, 60).map(lambda v: F(v, 6)), size=(2, 6))
 
 
-@st.composite
-def raw_symmetric(draw):
-    p = draw(st.integers(min_value=2, max_value=6))
-    rows = [[F(0)] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            w = draw(weight)
-            rows[i][j] = rows[j][i] = w
-    return rows
-
-
-@given(raw=raw_symmetric())
+@given(raw=RAW_SYMMETRIC)
 @settings(max_examples=50)
 def test_closure_is_idempotent_and_metric(raw):
     """Property: closing a closed matrix changes nothing, and the result
@@ -346,7 +323,7 @@ def test_closure_is_idempotent_and_metric(raw):
     FiniteMetric(closed)
 
 
-@given(raw=raw_symmetric())
+@given(raw=RAW_SYMMETRIC)
 @settings(max_examples=50)
 def test_closure_never_increases_entries(raw):
     """Property: closure only shortens distances."""

@@ -1,10 +1,10 @@
-"""Differential tests: every rule, deciding on scaled integers, matches
-the plain Fraction definition of that rule, and every cost and the exact
-optimum, read off the integer cost table, match the plain Fraction cost
-definitions, on random and tie-heavy instances; a lottery's int form is
-its Fraction support, and the search's cross-multiplied comparison of
-lottery costs is the comparison of exact costs; the metric closure and
-triangle check on ints match Floyd-Warshall and the scan on Fractions."""
+"""Differential tests of the int fast paths against the plain Fraction
+model in tests/reference.py, on instances drawn by tests/strategies.py
+(random, coarse, tie-heavy and metric-closure): every rule deciding on
+scaled integers, every cost and the exact optimum read off the integer
+cost table or the line's blocks, each lottery's int form and the
+search's cross-multiplied cost comparison, and the metric closure and
+triangle check on ints."""
 
 import itertools
 from fractions import Fraction as F
@@ -19,10 +19,8 @@ from flgames.core import (
     Deterministic,
     FiniteMetric,
     Instance,
-    Line,
     Randomized,
     cost_scale,
-    distance,
     distance_rows,
     line_instance,
     metric_instance,
@@ -32,91 +30,34 @@ from flgames.core import (
     row_cost,
     scale_to_integers,
 )
-from flgames.instances import (
-    CONSTRUCTION_NAMES,
-    PaperConstruction,
-    build_paper_instance,
-    metric_closure,
-)
-from flgames.mechanisms import (
-    LEFTMOST,
-    MEAN,
-    MEDIAN,
-    RD,
-    RULES,
-    TWO_EXTREMES,
-    dictator_spec,
-    wpv_spec,
-)
-from flgames.solver import INFINITE_RATIO, Evaluation, OptResult, evaluate, optimal, ratio_of
+from flgames.instances import CONSTRUCTION_NAMES
+from flgames.mechanisms import LEFTMOST, RD, RULES, TWO_EXTREMES, wpv_spec
+from flgames.solver import INFINITE_RATIO, Evaluation, evaluate, optimal, ratio_of
 from flgames.verify import _lowers, _SelectionCosts
 
-# ---------------------------------------------------------------------------
-# reference: each rule written directly on Fractions
-
-
-def ref_closest_line(instance, point, tie):
-    best = None
-    for j, c in enumerate(instance.candidates, start=1):
-        d = abs(c - point)
-        if best is None:
-            best = (d, c, j)
-            continue
-        bd, bc, _ = best
-        if d < bd or (d == bd and (c < bc if tie == "low" else c > bc)):
-            best = (d, c, j)
-    return best[2]
-
-
-def ref_closest_by_index(instance, point):
-    best_j, best_d = 1, distance(instance.space, point, instance.candidate(1))
-    for j in range(2, instance.m + 1):
-        d = distance(instance.space, point, instance.candidate(j))
-        if d < best_d:
-            best_j, best_d = j, d
-    return best_j
-
-
-def reference(spec, instance):
-    agents, n = instance.agents, instance.n
-    kind = spec.kind
-    if kind == "leftmost":
-        return Deterministic((ref_closest_line(instance, min(agents), "low"),))
-    if kind == "dictator":
-        return Deterministic((ref_closest_by_index(instance, instance.agent(spec.dictator)),))
-    if kind == "two-extremes":
-        left = ref_closest_line(instance, min(agents), "high")
-        right = ref_closest_line(instance, max(agents), "low")
-        return Deterministic((left, right))
-    if kind == "median":
-        pivot = sorted(agents)[(n + 1) // 2 - 1]
-        return Deterministic((ref_closest_line(instance, pivot, "low"),))
-    if kind == "rd":
-        return Randomized(
-            tuple((Deterministic((ref_closest_by_index(instance, x),)), F(1, n)) for x in agents)
-        )
-    if kind == "wpv":
-        return Randomized(
-            tuple(
-                (Deterministic((ref_closest_line(instance, x, "low"),)), w)
-                for x, w in zip(sorted(agents), spec.weights)
-            )
-        )
-    assert kind == "mean"
-    return Deterministic((ref_closest_line(instance, sum(agents, F(0)) / n, "low"),))
-
-
-def specs_for(instance):
-    """Every rule defined on the instance (all seven kinds on the line)."""
-    n = instance.n
-    dictators = [dictator_spec(i) for i in range(1, n + 1)]
-    if not isinstance(instance.space, Line):
-        return dictators + [RD] if instance.k == 1 else []
-    if instance.k == 2:
-        return [TWO_EXTREMES]
-    uniform = wpv_spec([F(1, n)] * n)
-    percentile = wpv_spec([F(0)] * (n - 1) + [F(1)])
-    return [LEFTMOST, MEDIAN, RD, MEAN, uniform, percentile] + dictators
+from reference import (
+    ref_agent_cost,
+    ref_closure,
+    ref_optimal,
+    ref_outcome_agent_cost,
+    ref_outcome_cost,
+    ref_triangle_error,
+    reference,
+    specs_for,
+)
+from strategies import (
+    COARSE,
+    COORD,
+    FINE,
+    build,
+    end_weights,
+    line_instances,
+    metric_instances,
+    outcomes,
+    pair_lotteries,
+    symmetric_matrices,
+    tie_instances,
+)
 
 
 def assert_matches_reference(instance):
@@ -124,64 +65,6 @@ def assert_matches_reference(instance):
         got, want = spec.apply(instance), reference(spec, instance)
         assert got == want, (spec.label(), instance)
         assert repr(got) == repr(want)
-
-
-# ---------------------------------------------------------------------------
-# inputs
-
-EPS = st.integers(2, 10**6).map(lambda q: F(1, q))
-COORD = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
-COARSE = st.integers(-6, 6).map(lambda v: F(v, 2))
-
-
-@st.composite
-def line_instances(draw, coord=COORD, ks=(1, 2), candidate_count=(1, 5), agent_count=(1, 6)):
-    """k from ks, and as many candidates and agents as the (least, most)
-    counts allow."""
-    candidates = draw(st.lists(coord, min_size=candidate_count[0], max_size=candidate_count[1]))
-    agents = draw(st.lists(coord, min_size=agent_count[0], max_size=agent_count[1]))
-    return line_instance(agents, candidates, k=draw(st.sampled_from(ks)))
-
-
-@st.composite
-def tie_instances(draw, ks=(1, 2), base_count=(1, 4), agent_count=(1, 5)):
-    """Agents on candidate midpoints, co-located candidates, and a mean
-    that lands on a midpoint, with candidates eps apart: as many drawn
-    candidates as the (least, most) base_count allows and up to four
-    more, as many agents as agent_count allows and up to one more."""
-    base = draw(st.lists(COORD, min_size=base_count[0], max_size=base_count[1]))
-    eps = draw(EPS)
-    candidates = base + [c + eps for c in draw(st.lists(st.sampled_from(base), max_size=2))]
-    candidates += draw(st.lists(st.sampled_from(candidates), max_size=2))
-    candidates = draw(st.permutations(candidates))
-    midpoints = [(a + b) / 2 for a in candidates for b in candidates]
-    agents = draw(
-        st.lists(
-            st.sampled_from(midpoints + candidates),
-            min_size=agent_count[0],
-            max_size=agent_count[1],
-        )
-    )
-    if draw(st.booleans()):
-        # the last agent pulls the mean exactly onto a midpoint
-        target = draw(st.sampled_from(midpoints))
-        agents.append(target * (len(agents) + 1) - sum(agents))
-    agents = draw(st.permutations(agents))
-    return line_instance(agents, candidates, k=draw(st.sampled_from(ks)))
-
-
-@st.composite
-def metric_instances(draw, ks=(1,)):
-    p = draw(st.integers(1, 6))
-    weight = st.one_of(st.integers(0, 3).map(F), st.fractions(0, 2, max_denominator=10**6))
-    raw = [[F(0)] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            raw[i][j] = raw[j][i] = draw(weight)
-    points = st.integers(1, p)
-    agents = draw(st.lists(points, min_size=1, max_size=5))
-    candidates = draw(st.lists(points, min_size=1, max_size=4))
-    return metric_instance(metric_closure(raw), agents, candidates, k=draw(st.sampled_from(ks)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +101,7 @@ def test_paper_constructions_match_reference_down_to_tiny_eps():
             if name == "example-1" and eps >= F(1, 3):
                 continue
             for far in (F(11), F(1000), F(10**6) + eps):
-                assert_matches_reference(build_paper_instance(PaperConstruction(name, eps, far)))
+                assert_matches_reference(build(name, eps=eps, far=far))
 
 
 def test_scale_to_integers():
@@ -247,19 +130,16 @@ def assert_scaled_maps_back(instance):
     assert tuple(F(v, scale) for v in candidates) == instance.candidates
 
 
-exact = st.fractions(max_denominator=10**6).filter(lambda v: abs(v) <= 10**6)
-
-
 @given(
-    agents=st.lists(exact, min_size=1, max_size=5),
-    candidates=st.lists(exact, min_size=1, max_size=4),
+    agents=st.lists(FINE, min_size=1, max_size=5),
+    candidates=st.lists(FINE, min_size=1, max_size=4),
     data=st.data(),
 )
 @settings(max_examples=100, deadline=None)
 def test_instance_scaled_maps_back_and_follows_every_new_profile(agents, candidates, data):
     inst = line_instance(agents, candidates)
     assert_scaled_maps_back(inst)
-    moved = inst.replace_agents(data.draw(st.lists(exact, min_size=1, max_size=5)))
+    moved = inst.replace_agents(data.draw(st.lists(FINE, min_size=1, max_size=5)))
     assert_scaled_maps_back(moved)
     permuted = permute_agents(inst, data.draw(st.permutations(range(1, inst.n + 1))))
     assert_scaled_maps_back(permuted)
@@ -283,12 +163,7 @@ def test_instance_scaled_is_invisible_to_equality_hash_and_repr():
 
 
 few = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-few_instances = st.builds(
-    line_instance,
-    st.lists(few, min_size=1, max_size=2),
-    st.lists(few, min_size=1, max_size=2),
-    st.sampled_from((1, 2)),
-)
+few_instances = line_instances(coord=few, candidate_count=(1, 2), agent_count=(1, 2))
 
 
 @given(
@@ -313,61 +188,7 @@ def test_instance_equality_and_hash_are_those_of_the_fraction_tuples(first, seco
 
 
 # ---------------------------------------------------------------------------
-# reference: costs and the optimum written directly on Fractions
-
-
-def ref_agent_cost(instance, outcome, i):
-    x = instance.agent(i)
-    return min(distance(instance.space, x, instance.candidate(j)) for j in outcome.selection)
-
-
-def ref_social_cost(instance, outcome):
-    return sum(ref_agent_cost(instance, outcome, i) for i in range(1, instance.n + 1))
-
-
-def ref_max_cost(instance, outcome):
-    return max(ref_agent_cost(instance, outcome, i) for i in range(1, instance.n + 1))
-
-
-def ref_objective_cost(instance, outcome, objective):
-    return ref_social_cost(instance, outcome) if objective == "sc" else ref_max_cost(instance, outcome)
-
-
-def ref_outcome_cost(instance, outcome, objective):
-    if isinstance(outcome, Deterministic):
-        return ref_objective_cost(instance, outcome, objective)
-    return sum(prob * ref_objective_cost(instance, det, objective) for det, prob in outcome.support)
-
-
-def ref_outcome_agent_cost(instance, outcome, i):
-    if isinstance(outcome, Deterministic):
-        return ref_agent_cost(instance, outcome, i)
-    return sum(prob * ref_agent_cost(instance, det, i) for det, prob in outcome.support)
-
-
-def ref_optimal(instance, objective):
-    best, argmins = None, []
-    for sel in itertools.combinations_with_replacement(range(1, instance.m + 1), instance.k):
-        value = ref_objective_cost(instance, Deterministic(sel), objective)
-        if best is None or value < best:
-            best, argmins = value, [sel]
-        elif value == best:
-            argmins.append(sel)
-    all_best = tuple(Deterministic(sel) for sel in argmins)
-    return OptResult(best, all_best[0], all_best)
-
-
-@st.composite
-def outcomes(draw, instance):
-    """A selection of k candidates, or a lottery over up to four."""
-    selection = st.lists(st.integers(1, instance.m), min_size=instance.k, max_size=instance.k)
-    if draw(st.booleans()):
-        return Deterministic(tuple(draw(selection)))
-    support = draw(st.lists(selection, min_size=1, max_size=4))
-    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
-    return Randomized(
-        tuple((Deterministic(tuple(sel)), F(w, sum(weights))) for sel, w in zip(support, weights))
-    )
+# costs and the optimum
 
 
 def assert_costs_match_reference(instance, outcome):
@@ -605,10 +426,9 @@ def assert_cost_comparisons_match_fractions(instance, before, after):
 def wpv_with_zeros(draw, n):
     """A wpv rule for n agents with zero weights, over a denominator that
     need not be n: an extreme percentile, the two ends, or drawn ints."""
-    ends = [F(1, 2)] + [F(0)] * (n - 2) + [F(1, 2)] if n > 1 else [F(1)]
     raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
-    drawn = [F(w, sum(raw)) for w in raw]
-    return wpv_spec(draw(st.sampled_from(([F(0)] * (n - 1) + [F(1)], ends, drawn))))
+    drawn = wpv_spec([F(w, sum(raw)) for w in raw])
+    return draw(st.sampled_from((wpv_spec([F(0)] * (n - 1) + [F(1)]), end_weights(n), drawn)))
 
 
 @st.composite
@@ -646,19 +466,6 @@ def test_lottery_int_form_and_cost_comparisons_match_fractions(case, data):
     assert_cost_comparisons_match_fractions(instance, truthful, truthful)
 
 
-@st.composite
-def pair_lotteries(draw, instance):
-    """A lottery over k=2 selections as a rule may report them: drawn
-    unsorted, with repeated candidates, and each pair also reversed."""
-    pair = st.tuples(st.integers(1, instance.m), st.integers(1, instance.m))
-    pairs = draw(st.lists(pair, min_size=1, max_size=3))
-    support = pairs + [p[::-1] for p in pairs]
-    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
-    return Randomized(
-        tuple((Deterministic(sel), F(w, sum(weights))) for sel, w in zip(support, weights))
-    )
-
-
 @given(
     instance=st.one_of(
         line_instances(ks=(2,)), tie_instances(ks=(2,)), metric_instances(ks=(2,))
@@ -688,56 +495,16 @@ def test_one_selection_cost_lookup_serves_a_whole_search(instance, data):
 
 
 # ---------------------------------------------------------------------------
-# reference: the shortest-path closure and the triangle scan on Fractions
+# the shortest-path closure and the triangle scan
+
+# symmetric nonnegative matrices, mostly not metrics: zero and repeated
+# weights, and denominators that the closure may cancel
+WEIGHT_MATRICES = symmetric_matrices(
+    st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6, 7))), size=(1, 7), pool=(1, 4)
+)
 
 
-def ref_closure(weights):
-    """Floyd-Warshall on the Fractions themselves."""
-    dist = [[F(entry) for entry in row] for row in weights]
-    p = len(dist)
-    for mid in range(p):
-        for i in range(p):
-            for j in range(p):
-                if dist[i][mid] + dist[mid][j] < dist[i][j]:
-                    dist[i][j] = dist[i][mid] + dist[mid][j]
-    return tuple(tuple(row) for row in dist)
-
-
-def ref_triangle_error(matrix):
-    """The first triangle violation in (mid, i, j) order, as FiniteMetric
-    words it, or None."""
-    p = len(matrix)
-    for mid in range(p):
-        for i in range(p):
-            for j in range(p):
-                if matrix[i][mid] + matrix[mid][j] < matrix[i][j]:
-                    return (
-                        f"triangle inequality fails: d({i + 1},{j + 1}) > "
-                        f"d({i + 1},{mid + 1}) + d({mid + 1},{j + 1})"
-                    )
-    return None
-
-
-@st.composite
-def weight_matrices(draw):
-    """Symmetric nonnegative matrices, mostly not metrics: zero and
-    repeated weights, and denominators that the closure may cancel."""
-    p = draw(st.integers(1, 7))
-    pool = draw(
-        st.lists(
-            st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6, 7))),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    weights = [[F(0)] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            weights[i][j] = weights[j][i] = draw(st.sampled_from(pool))
-    return tuple(tuple(row) for row in weights)
-
-
-@given(weights=weight_matrices())
+@given(weights=WEIGHT_MATRICES)
 @settings(max_examples=400, deadline=None)
 def test_closure_and_triangle_check_match_reference(weights):
     closure = FiniteMetric._closure(weights)

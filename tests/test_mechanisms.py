@@ -4,7 +4,6 @@ import pytest
 
 from flgames import mechanisms
 from flgames.core import Deterministic, Randomized, line_instance, metric_instance
-from flgames.instances import PaperConstruction, build_paper_instance
 from flgames.mechanisms import (
     LEFTMOST,
     MEAN,
@@ -18,9 +17,10 @@ from flgames.mechanisms import (
     wpv_spec,
 )
 
-LB_BASE = build_paper_instance(PaperConstruction("single-lb-I", eps=F(1, 10)))
-REMARK = build_paper_instance(PaperConstruction("wpv-remark", eps=F(1, 100)))
-TIGHT = build_paper_instance(PaperConstruction("example-1", eps=F(1, 100), n=4))
+from strategies import LB_BASE, build
+
+REMARK = build("wpv-remark", eps=F(1, 100))
+TIGHT = build("example-1", eps=F(1, 100), n=4)
 
 
 def test_leftmost_follows_leftmost_agent():
@@ -78,7 +78,7 @@ def test_two_extremes_degenerate_shapes():
 
 
 def test_median_odd_profile():
-    inst = build_paper_instance(PaperConstruction("median-context"))
+    inst = build("median-context")
     assert MEDIAN.apply(inst) == Deterministic((1,))
 
 

@@ -13,7 +13,6 @@ from flgames.core import (
     outcome_cost,
     permute_agents,
 )
-from flgames.instances import PaperConstruction, build_paper_instance
 from flgames.mechanisms import LEFTMOST, MEDIAN, RD, TWO_EXTREMES
 from flgames.solver import (
     INFINITE_RATIO,
@@ -24,9 +23,7 @@ from flgames.solver import (
     ratio_of,
 )
 
-
-def build(name, **kwargs):
-    return build_paper_instance(PaperConstruction(name, **kwargs))
+from strategies import QUARTERS, build, line_instances
 
 
 def test_optimal_single_facility_shifted_pair():
@@ -157,21 +154,15 @@ def test_median_is_optimal_for_social_cost_here():
 # ---------------------------------------------------------------------------
 # properties
 
-coordinate = st.integers(min_value=-40, max_value=40).map(lambda v: F(v, 4))
-
-
-@st.composite
-def line_instances(draw, k=1):
-    agents = draw(st.lists(coordinate, min_size=1, max_size=5))
-    candidates = draw(st.lists(coordinate, min_size=1, max_size=4))
-    return line_instance(agents, candidates, k)
+SINGLE = line_instances(coord=QUARTERS, ks=(1,), candidate_count=(1, 4), agent_count=(1, 5))
+EITHER = line_instances(coord=QUARTERS, candidate_count=(1, 4), agent_count=(1, 5))
 
 
 @given(data=st.data())
 @settings(max_examples=60)
 def test_no_mechanism_beats_the_optimum(data):
     """Property: mechanism cost >= exact optimum, so ratios are >= 1."""
-    inst = data.draw(line_instances(k=1))
+    inst = data.draw(SINGLE)
     objective = data.draw(st.sampled_from(("sc", "mc")))
     opt = optimal(inst, objective).value
     for mech in (LEFTMOST, MEDIAN, RD):
@@ -183,7 +174,7 @@ def test_no_mechanism_beats_the_optimum(data):
 @settings(max_examples=60)
 def test_optimum_ignores_agent_order(data):
     """Property: the optimal value is invariant under profile permutations."""
-    inst = data.draw(line_instances(k=data.draw(st.sampled_from((1, 2)))))
+    inst = data.draw(EITHER)
     perm = data.draw(st.permutations(range(1, inst.n + 1)))
     objective = data.draw(st.sampled_from(("sc", "mc")))
     assert (
@@ -196,7 +187,7 @@ def test_optimum_ignores_agent_order(data):
 @settings(max_examples=60)
 def test_second_facility_never_hurts_the_optimum(data):
     """Property: the k=2 optimum is at most the k=1 optimum."""
-    inst = data.draw(line_instances(k=1))
+    inst = data.draw(SINGLE)
     paired = line_instance(inst.agents, inst.candidates, k=2)
     for objective in ("sc", "mc"):
         assert optimal(paired, objective).value <= optimal(inst, objective).value

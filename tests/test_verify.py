@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
@@ -17,12 +16,7 @@ from flgames.core import (
     outcome_agent_cost,
     scale_to_integers,
 )
-from flgames.instances import (
-    PaperConstruction,
-    RandomFamily,
-    build_paper_instance,
-    random_instance,
-)
+from flgames.instances import RandomFamily, random_instance
 from flgames.mechanisms import (
     LEFTMOST,
     MEAN,
@@ -35,7 +29,6 @@ from flgames.mechanisms import (
 )
 from flgames.solver import INFINITE_RATIO, GuardExceeded, ratio
 from flgames.verify import (
-    DeviationWitness,
     _cell_firsts,
     _far_missing,
     check_anonymity,
@@ -47,7 +40,13 @@ from flgames.verify import (
     replay_lower_bound,
 )
 
-LB_BASE = build_paper_instance(PaperConstruction("single-lb-I", eps=F(1, 10)))
+from reference import (
+    ref_closest_line,
+    reference_group,
+    reference_misreport_points,
+    reference_unilateral,
+)
+from strategies import FINE, HALVES, LB_BASE, end_weights, line_instances, tie_instances
 
 # crafted so the mean rule resists every single misreport in the searched
 # set but falls to agents 1 and 2 lying jointly
@@ -72,24 +71,6 @@ def test_misreport_set_grid_sizes():
         misreport_set(LB_BASE, grid_points=-1)
 
 
-def reference_misreport_points(instance, grid_points):
-    """The line's misreport set built directly on Fractions."""
-    locations = instance.agents + instance.candidates
-    lo, hi = min(locations), max(locations)
-    span = max(hi - lo, F(1))
-    points = set(locations)
-    if grid_points == 1:
-        points.add(lo - span)
-    elif grid_points > 1:
-        start = lo - span
-        step = (hi + span - start) / (grid_points - 1)
-        points.update(start + t * step for t in range(grid_points))
-    return tuple(sorted(points))
-
-
-FINE = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
-
-
 @st.composite
 def grid_instances(draw):
     """Line instances with fine and negative coordinates, and some with
@@ -98,8 +79,7 @@ def grid_instances(draw):
         spot = draw(FINE)
         return line_instance([spot] * draw(st.integers(1, 3)), [spot] * draw(st.integers(1, 2)))
     locations = st.one_of(FINE, HALVES)
-    agents = draw(st.lists(locations, min_size=1, max_size=4))
-    return line_instance(agents, draw(st.lists(locations, min_size=1, max_size=3)))
+    return draw(line_instances(locations, ks=(1,), candidate_count=(1, 3), agent_count=(1, 4)))
 
 
 @given(instance=grid_instances(), grid_points=st.sampled_from((0, 1, 2, 3, 41)))
@@ -235,63 +215,7 @@ def test_count_parameters_refuse_bool_and_float(call, good, bad):
 
 
 # ---------------------------------------------------------------------------
-# differential: the one search loop against the two loops it replaced, kept
-# here as plain references on the validated instance path
-
-
-def reference_unilateral(instance, mechanism, misreports):
-    truthful = mechanism.apply(instance)
-    agents = instance.agents
-    for i in range(1, instance.n + 1):
-        base_cost = outcome_agent_cost(instance, truthful, i)
-        if base_cost == 0:
-            continue
-        true_location = agents[i - 1]
-        prefix, suffix = agents[: i - 1], agents[i:]
-        for report in misreports:
-            if report == true_location:
-                continue
-            shifted = mechanism.apply(instance.replace_agents(prefix + (report,) + suffix))
-            if shifted == truthful:
-                continue
-            new_cost = outcome_agent_cost(instance, shifted, i)
-            if new_cost < base_cost:
-                return DeviationWitness(
-                    (i,), (report,), truthful, shifted, (base_cost,), (new_cost,)
-                )
-    return None
-
-
-def reference_group(instance, mechanism, misreports, max_coalition):
-    options = [tuple(r for r in misreports if r != x) for x in instance.agents]
-    truthful = mechanism.apply(instance)
-    base_costs = [outcome_agent_cost(instance, truthful, i) for i in range(1, instance.n + 1)]
-    for size in range(1, max_coalition + 1):
-        for coalition in itertools.combinations(range(1, instance.n + 1), size):
-            members_base = tuple(base_costs[i - 1] for i in coalition)
-            if any(cost == 0 for cost in members_base):
-                continue
-            for joint in itertools.product(*(options[i - 1] for i in coalition)):
-                profile = list(instance.agents)
-                for i, report in zip(coalition, joint):
-                    profile[i - 1] = report
-                shifted = mechanism.apply(instance.replace_agents(profile))
-                if shifted == truthful:
-                    continue
-                new_costs = tuple(outcome_agent_cost(instance, shifted, i) for i in coalition)
-                if all(new < old for new, old in zip(new_costs, members_base)):
-                    return DeviationWitness(
-                        coalition, joint, truthful, shifted, members_base, new_costs
-                    )
-    return None
-
-
-def nearest(instance, point):
-    """Candidate nearest a point, ties to the smaller coordinate, then index."""
-    return min(
-        range(1, instance.m + 1),
-        key=lambda j: (abs(instance.candidates[j - 1] - point), instance.candidates[j - 1], j),
-    )
+# differential: the one search loop against the two reference loops
 
 
 class MeanAndMedian:
@@ -302,9 +226,8 @@ class MeanAndMedian:
     def apply(self, instance):
         agents = sorted(instance.agents)
         mean = sum(agents, F(0)) / instance.n
-        return Deterministic(
-            (nearest(instance, mean), nearest(instance, agents[(instance.n + 1) // 2 - 1]))
-        )
+        median = agents[(instance.n + 1) // 2 - 1]
+        return Deterministic(tuple(ref_closest_line(instance, x, "low") for x in (mean, median)))
 
 
 MEAN_AND_MEDIAN = MeanAndMedian()
@@ -338,13 +261,8 @@ class MeanAndMedianOrExtremes:
 MEAN_AND_MEDIAN_OR_EXTREMES = MeanAndMedianOrExtremes()
 
 
-class Lockstep:
-    """A rule that, before delegating, checks that the instance it is
-    handed carries ints in step with its Fractions: the agents and the
-    candidates over the positive scale it carries beside them.  A profile
-    out of step with its ints would make the rule decide for other
-    reports than the witness names, and one out of step with its scale
-    would be costed over another scale than its ints'."""
+class CountingRule:
+    """A rule that counts its apply calls."""
 
     def __init__(self, rule):
         self.rule = rule
@@ -352,13 +270,25 @@ class Lockstep:
 
     def apply(self, instance):
         self.calls += 1
+        return self.rule.apply(instance)
+
+
+class Lockstep(CountingRule):
+    """A counting rule that, before delegating, checks that the instance
+    it is handed carries ints in step with its Fractions: the agents and
+    the candidates over the positive scale it carries beside them.  A
+    profile out of step with its ints would make the rule decide for
+    other reports than the witness names, and one out of step with its
+    scale would be costed over another scale than its ints'."""
+
+    def apply(self, instance):
         values = instance.agents + instance.candidates
         agent_ints, candidate_ints, scale = instance.scaled
         ints = agent_ints + candidate_ints
         assert len(ints) == len(values) and all(type(v) is int for v in ints)
         assert type(scale) is int and scale > 0
         assert all(F(v, scale) == x for x, v in zip(values, ints))
-        return self.rule.apply(instance)
+        return super().apply(instance)
 
 
 class DeclaringLockstep(Lockstep):
@@ -369,11 +299,6 @@ class DeclaringLockstep(Lockstep):
     def breakpoints(self, agents, candidates, coalition):
         declared = getattr(self.rule, "breakpoints", None)
         return declared and declared(agents, candidates, coalition)
-
-
-def end_weights(n):
-    """wpv weights with zero entries: half on each extreme agent."""
-    return wpv_spec([F(1, 2)] + [F(0)] * (n - 2) + [F(1, 2)])
 
 
 # (rule, family kind, k) on A5's n=4 m=3 families
@@ -392,23 +317,23 @@ FAMILY_CASES = (
     (Lockstep(MEAN), "line-uniform", 1),
     (Lockstep(RD), "line-uniform", 1),
 )
-HALVES = st.integers(-8, 8).map(lambda v: F(v, 2))
 
 
 @st.composite
 def tie_profiles(draw):
     """A line profile full of ties, and a rule for it: co-located
     candidates, and agents on candidates or on candidate midpoints."""
-    candidates = draw(st.lists(HALVES, min_size=1, max_size=3))
-    candidates += draw(st.lists(st.sampled_from(candidates), max_size=2))
-    candidates = draw(st.permutations(candidates))
-    midpoints = [(a + b) / 2 for a in candidates for b in candidates]
-    agents = draw(st.lists(st.sampled_from(midpoints), min_size=3, max_size=4))
-    rules = [LEFTMOST, MEDIAN, MEAN, dictator_spec(1), RD, end_weights(len(agents))]
+    ties = tie_instances(
+        HALVES, ks=(1,), base_count=(1, 3), agent_count=(3, 4), shifted=False, on_candidates=False, mean=False
+    )
+    instance = draw(ties)
+    rules = [LEFTMOST, MEDIAN, MEAN, dictator_spec(1), RD, end_weights(instance.n)]
     rules.append(MEAN_OR_LEFTMOST)
     pairs = [TWO_EXTREMES, MEAN_AND_MEDIAN, MEAN_AND_MEDIAN_OR_EXTREMES]
     mechanism = draw(st.sampled_from(rules + pairs))
-    return mechanism, line_instance(agents, candidates, k=1 if mechanism in rules else 2)
+    if mechanism in rules:
+        return mechanism, instance
+    return mechanism, line_instance(instance.agents, instance.candidates, k=2)
 
 
 @st.composite
@@ -419,14 +344,14 @@ def search_cases(draw):
     and median rule and both lotteries."""
     branch = draw(st.integers(0, 2))
     if branch == 0:
-        agents = draw(st.lists(HALVES, min_size=3, max_size=5))
-        candidates = draw(st.lists(HALVES, min_size=2, max_size=3))
         rules = (
             (MEAN, 1),
             (MEAN_AND_MEDIAN, 2),
             (MEAN_OR_LEFTMOST, 1),
             (MEAN_AND_MEDIAN_OR_EXTREMES, 2),
         )
+        agents = draw(st.lists(HALVES, min_size=3, max_size=5))
+        candidates = draw(st.lists(HALVES, min_size=2, max_size=3))
         mechanism, k = draw(st.sampled_from(rules))
         return mechanism, line_instance(agents, candidates, k=k)
     if branch == 1:
@@ -461,18 +386,6 @@ def test_pair_lottery_search_matches_the_reference_with_reversed_pairs():
     # the shifted lottery holds one pair in both orders
     assert witness.outcome_after.scaled == (((1, 2), (2, 1)), (1, 1), 2)
     assert witness.costs_before == (F(7, 4),) and witness.costs_after == (F(1, 2),)
-
-
-class CountingRule:
-    """A rule that counts its apply calls."""
-
-    def __init__(self, rule):
-        self.rule = rule
-        self.calls = 0
-
-    def apply(self, instance):
-        self.calls += 1
-        return self.rule.apply(instance)
 
 
 def test_search_skips_coalitions_no_selection_can_help_but_not_lotteries():
@@ -538,15 +451,11 @@ def guard_cases(draw):
     if draw(st.integers(0, 3)) == 0:
         instance = METRIC_FIXTURE
     else:
-        candidates = draw(st.lists(HALVES, min_size=1, max_size=3))
-        agents = draw(st.lists(HALVES, min_size=1, max_size=2))
-        lo, hi = min(agents + candidates), max(agents + candidates)
-        # spots inside [lo, hi] leave the range, and so the grid, unchanged
-        grid = misreport_set(line_instance(agents, candidates), grid_points)
-        spots = candidates + [(a + b) / 2 for a in candidates for b in candidates]
-        spots += [p for p in grid if lo <= p <= hi]
-        agents += draw(st.lists(st.sampled_from(spots), max_size=2))
-        instance = line_instance(agents, candidates)
+        ties = tie_instances(
+            coord=HALVES, ks=(1,), base_count=(1, 3), agent_count=(0, 2), shifted=False, copies=0,
+            mean=False, free_count=(1, 2), grid_points=grid_points,
+        )
+        instance = draw(ties)
     max_coalition = draw(st.integers(1, min(3, instance.n)))
     size = len(misreport_set(instance, grid_points, 10**9, max_coalition))
     count = joint_misreport_count(instance.n, size - 1, max_coalition)
@@ -634,8 +543,7 @@ def cell_cases(draw):
         family = RandomFamily("line-uniform", n=n, m=m, seed=draw(st.sampled_from((201, 203))))
         instance = random_instance(family, draw(st.integers(0, 999)))
     elif branch == 1:
-        agents = draw(st.lists(HALVES, min_size=2, max_size=5))
-        instance = line_instance(agents, draw(st.lists(HALVES, min_size=1, max_size=4)))
+        instance = draw(line_instances(HALVES, ks=(1,), candidate_count=(1, 4), agent_count=(2, 5)))
     else:
         instance = draw(tie_profiles())[1]
     rule = draw(st.sampled_from(DECLARING))(instance.n)
