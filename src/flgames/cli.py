@@ -156,22 +156,24 @@ def instance_from_json(obj) -> Instance:
         raise InstanceParseError(str(exc)) from None
 
 
-def instance_to_json(instance: Instance) -> dict:
+def _locations(instance: Instance, locations) -> list:
+    """Points as an instance file writes them: exact strings on the line, indices on a metric."""
     if isinstance(instance.space, Line):
-        return {
-            "space": "line",
-            "agents": [str(x) for x in instance.agents],
-            "candidates": [str(y) for y in instance.candidates],
-            "k": instance.k,
-        }
-    return {
-        "space": "metric",
-        "points": instance.space.size,
-        "matrix": [[str(d) for d in row] for row in instance.space.matrix],
-        "agents": list(instance.agents),
-        "candidates": list(instance.candidates),
-        "k": instance.k,
-    }
+        return [str(x) for x in locations]
+    return list(locations)
+
+
+def instance_to_json(instance: Instance) -> dict:
+    space = instance.space
+    if isinstance(space, Line):
+        payload = {"space": "line"}
+    else:
+        matrix = [[str(d) for d in row] for row in space.matrix]
+        payload = {"space": "metric", "points": space.size, "matrix": matrix}
+    payload["agents"] = _locations(instance, instance.agents)
+    payload["candidates"] = _locations(instance, instance.candidates)
+    payload["k"] = instance.k
+    return payload
 
 
 def load_instance(path: str) -> Instance:
@@ -185,32 +187,22 @@ def load_instance(path: str) -> Instance:
     return instance_from_json(obj)
 
 
-def _locations(instance: Instance, selection: tuple[int, ...]):
-    if isinstance(instance.space, Line):
-        return [str(instance.candidate(j)) for j in selection]
-    return [instance.candidate(j) for j in selection]
-
-
 def outcome_json(instance: Instance, outcome: Outcome) -> dict:
     if isinstance(outcome, Deterministic):
         return {
             "type": "deterministic",
             "selection": list(outcome.selection),
-            "locations": _locations(instance, outcome.selection),
+            "locations": _locations(instance, map(instance.candidate, outcome.selection)),
         }
     support = []
     for det, prob in outcome.support:
         entry = {
             "selection": list(det.selection),
-            "locations": _locations(instance, det.selection),
+            "locations": _locations(instance, map(instance.candidate, det.selection)),
         }
         put_scalar(entry, "probability", prob)
         support.append(entry)
     return {"type": "randomized", "support": support}
-
-
-def _misreport_json(instance: Instance, report):
-    return str(report) if isinstance(instance.space, Line) else report
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,7 @@ def cmd_verify(args, guard: int) -> int:
             "mechanism": mechanism.label(),
             "result": "witness",
             "coalition": list(witness.coalition),
-            "misreports": [_misreport_json(instance, r) for r in witness.misreports],
+            "misreports": _locations(instance, witness.misreports),
             "outcome_before": outcome_json(instance, witness.outcome_before),
             "outcome_after": outcome_json(instance, witness.outcome_after),
             "costs": costs,

@@ -142,10 +142,6 @@ def _uniform_int(rng: random.Random, bound: int) -> int:
             return value
 
 
-def _grid_draw(rng: random.Random) -> Fraction:
-    return Fraction(_uniform_int(rng, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
-
-
 def _line_family(family: RandomFamily, rng: random.Random) -> Instance:
     """n agents, then m candidates, each a point of the line, in Instance's int form."""
     ints = [_uniform_int(rng, GRID_DENOMINATOR + 1) for _ in range(family.n + family.m)]
@@ -169,10 +165,11 @@ def _metric_family(family: RandomFamily, rng: random.Random) -> Instance:
     raw = [[Fraction(0)] * p for _ in range(p)]
     for i in range(p):
         for j in range(i + 1, p):
-            raw[i][j] = raw[j][i] = _grid_draw(rng)
+            weight = Fraction(_uniform_int(rng, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
+            raw[i][j] = raw[j][i] = weight
     agents = tuple(range(1, family.n + 1))
     candidates = tuple(range(family.n + 1, p + 1))
-    return Instance(FiniteMetric._closure(raw), agents, candidates, family.k)
+    return Instance._trusted(FiniteMetric._closure(raw), family.k, (agents, candidates))
 
 
 # The only definition of each family kind: its builder, called with the

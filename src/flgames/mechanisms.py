@@ -89,11 +89,6 @@ def _closest_on_line(candidates: tuple[int, ...], point: int, tie: str) -> int:
     return (candidates.index(first) if first in candidates else candidates.index(second)) + 1
 
 
-def _closest_by_index(distances: list[int]) -> int:
-    """1-based index of the smallest distance, ties to the smaller index."""
-    return distances.index(min(distances)) + 1
-
-
 # ---------------------------------------------------------------------------
 # the rules; each takes (instance, spec) once apply has checked its shape
 
@@ -107,7 +102,7 @@ def _dictator(instance: Instance, spec: MechanismSpec) -> Deterministic:
     if spec.dictator > instance.n:
         raise MechanismMismatch(f"dictator index {spec.dictator} out of range 1..{instance.n}")
     row = distance_rows(instance, (spec.dictator,))[0]
-    return Deterministic._trusted((_closest_by_index(row),))
+    return Deterministic._trusted((row.index(min(row)) + 1,))
 
 
 def _two_extremes(instance: Instance, spec: MechanismSpec) -> Deterministic:

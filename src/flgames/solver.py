@@ -198,7 +198,7 @@ def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> O
     validate_objective(objective)
     table = _cost_table(instance, objective, candidate_multisets(instance, guard))
     best_value = min(table.values())
-    all_best = tuple(Deterministic(sel) for sel, value in table.items() if value == best_value)
+    all_best = tuple(Deterministic._trusted(sel) for sel in table if table[sel] == best_value)
     return OptResult(Fraction(best_value, cost_scale(instance)), all_best[0], all_best)
 
 

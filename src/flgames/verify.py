@@ -206,15 +206,6 @@ class DeviationWitness:
     costs_after: tuple[Fraction, ...]
 
 
-def _choices(truthful: list[tuple], coalition: tuple, members: list[tuple]) -> list[tuple]:
-    """Per agent, the reports product() walks: each member's options, and
-    every other agent's one truthful report."""
-    choices = truthful[:]
-    for i, options in zip(coalition, members):
-        choices[i - 1] = options
-    return choices
-
-
 def _cell_firsts(options: tuple[int, ...], breakpoints) -> list[int]:
     """Indices, ascending, of the first of the ascending int options in
     each cell that the doubled breakpoints cut the line into: the gaps
@@ -319,7 +310,10 @@ def find_group_deviation(
                 members = [
                     tuple(map(o.__getitem__, _cell_firsts(o, b))) for o, b in zip(members, cells)
                 ]
-            profiles = itertools.product(*_choices(truthful_choices, coalition, members))
+            choices = truthful_choices[:]
+            for i, member in zip(coalition, members):
+                choices[i - 1] = member
+            profiles = itertools.product(*choices)
             for form in zip(profiles, *carried):
                 profile = Instance._trusted(instance.space, instance.k, form)
                 shifted = mechanism.apply(profile)

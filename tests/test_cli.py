@@ -92,6 +92,14 @@ def test_instance_json_rejections():
         instance_from_json({**good, "agents": [0.9, "11/10"]})
     with pytest.raises(InstanceParseError):
         instance_from_json({**good, "agents": ["not-a-number", "11/10"]})
+    for bad in (None, ["9/10"], {"x": "9/10"}):
+        with pytest.raises(InstanceParseError, match="expected an exact number"):
+            instance_from_json({**good, "agents": [bad, "11/10"]})
+    with pytest.raises(InstanceParseError, match="expected an exact number"):
+        instance_from_json({**METRIC_JSON, "points": 1, "matrix": [[None]]})
+    for key in ("agents", "candidates"):
+        with pytest.raises(InstanceParseError, match="must be arrays"):
+            instance_from_json({**good, key: "0"})
     with pytest.raises(InstanceParseError, match="space"):
         instance_from_json({**good, "space": "plane"})
     with pytest.raises(InstanceParseError):

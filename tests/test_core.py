@@ -73,6 +73,10 @@ def test_metric_validation_rejects_bad_matrices():
         FiniteMetric(((0, -1), (-1, 0)))  # negative
     with pytest.raises(ValueError):
         FiniteMetric(((0, 5, 1), (5, 0, 1), (1, 1, 0)))  # 5 > 1 + 1
+    with pytest.raises(ValueError, match="empty"):
+        FiniteMetric(())
+    with pytest.raises(ValueError, match="not square"):
+        FiniteMetric(((0, 1), (1,)))
 
 
 def test_metric_validation_accepts_exact_pseudometric():
@@ -90,6 +94,7 @@ def test_instance_validation():
         line_instance((0,), (0,), k=3)
     with pytest.raises(ValueError):
         metric_instance(((0, 1), (1, 0)), agents=(1, 3), candidates=(2,), k=1)
+    assert (LB_BASE == "x") is False
 
 
 def test_instance_parses_mixed_exact_inputs():
@@ -214,6 +219,9 @@ def test_randomized_canonical_form():
 
 
 def test_randomized_validation():
+    for selection in ((), (0,), (True,), ("1",)):
+        with pytest.raises(ValueError):
+            Deterministic(selection)
     with pytest.raises(ValueError):
         Randomized(((Deterministic((1,)), F(1, 2)),))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +237,17 @@ def test_spec_validation():
     ]:
         with pytest.raises(MechanismMismatch, match="takes no"):
             MechanismSpec(kind, **extra)
+
+
+def test_readme_mechanism_table_names_every_rule_in_order():
+    # a row's kind is its name before any ":argument"; a rule that is not
+    # line-only is listed for "any" space
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Mechanisms\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    table = [(name.strip(" `").partition(":")[0], space.strip(), int(k)) for name, space, k in rows]
+    expected = [
+        (kind, "line" if line_only else "any", k)
+        for kind, (_, k, line_only, _) in mechanisms.RULES.items()
+    ]
+    assert table == expected

@@ -121,6 +121,7 @@ def test_infinite_ratio_ordering():
     assert INFINITE_RATIO <= INFINITE_RATIO
     assert not INFINITE_RATIO > INFINITE_RATIO
     assert sorted([INFINITE_RATIO, F(2), F(1)]) == [F(1), F(2), INFINITE_RATIO]
+    assert {INFINITE_RATIO, type(INFINITE_RATIO)(), F(2)} == {F(2), INFINITE_RATIO}
 
 
 def test_infinite_ratio_prints_as_inf():
