@@ -8,7 +8,8 @@ approximation (DECIMAL_PLACES = 12 places, truncated) in a sibling
 
 Exit codes: 0 success, 2 parse or usage failure (including an argument
 out of range and an output file that cannot be written), 3 enumeration
-guard exceeded, 4 mechanism/space mismatch.
+guard exceeded, 4 mechanism/space mismatch, 141 stdout closed before
+the output was written (the console script only).
 The environment variable FLG_GUARD, a positive integer, overrides the
 default enumeration guard of 10^7 for every subcommand.
 The parser is built on the first main call and reused for the rest of
@@ -52,6 +53,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_MISMATCH = 4
+# what a shell reports for a process that SIGPIPE ended, 128 + 13
+EXIT_PIPE = 141
 
 DECIMAL_PLACES = 12
 
@@ -431,7 +434,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; as Python's signal docs advise ("Note
+        # on SIGPIPE"), point stdout at devnull so that the interpreter's
+        # final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -41,20 +41,22 @@ lottery's only form (Randomized.scaled) once it has divided out their
 common factor.
 
 One table, RULES, gives each kind its rule, the number of facilities it
-opens, whether it is defined on the line only, and its breakpoints.
+opens, whether it is defined on the line only, and its cells.
 MechanismSpec reads it when a spec is built, so parse_mechanism rejects
 unknown names, in apply, which checks the instance's space and k before
-calling the rule, and in breakpoints.  The specs are the public form of
-the rules.
+calling the rule, and in cells.  The specs are the public form of the
+rules.
 
-The breakpoints column serves the deviation search on the line
-(MechanismSpec.breakpoints): for each coalition member, the doubled
-points at which its report can change the outcome.  Every rule but mean
-reads only the candidates nearest some reports or their order
-statistics, so its breakpoints are the adjacent distinct candidate
-midpoints, for every member (for dictator:i, member i only).  mean moves
-them by the other agents' sum for a single agent, and declares None,
-every report tried, for a larger coalition.
+The cells column serves the deviation search on both spaces
+(MechanismSpec.cells): for each coalition member, how the rule reads its
+report.  Every rule but mean reads a report only through its nearest
+candidate, directly or through the order statistics of the reports, so
+it declares the feature _nearest for every member (for dictator:i,
+member i only; the others are idle).  On the line its cells are cut by
+the doubled candidate midpoints; on a finite metric its classes are
+the points with one nearest candidate, ties to the smaller index.
+mean moves its line breakpoints by the other agents' sum for a single
+agent, and declares None, every report tried, for a larger coalition.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def _mean(instance: Instance, spec: MechanismSpec) -> Deterministic:
 
 
 # ---------------------------------------------------------------------------
-# the breakpoints; each takes (spec, agents, candidates, coalition), see
-# MechanismSpec.breakpoints
+# the cells; each takes (spec, agents, candidates, coalition), see
+# MechanismSpec.cells
 
 
 def _midpoints(candidates) -> list[int]:
@@ -184,19 +186,34 @@ def _midpoints(candidates) -> list[int]:
     return [a + b for a, b in zip(ys, ys[1:])]
 
 
-def _nearest_breakpoints(spec, agents, candidates, coalition) -> list:
+def _nearest(space, candidates):
+    """The nearest-candidate feature over the candidates' ints: on the
+    line the cut of _midpoints; on a finite metric each point's nearest
+    candidate, ties to the smaller index, as its 0-based position, one
+    key per point."""
+    if isinstance(space, Line):
+        return _midpoints(candidates)
+    keys = []
+    for row in space.scaled:
+        distances = [row[c - 1] for c in candidates]
+        keys.append(distances.index(min(distances)))
+    return tuple(keys)
+
+
+def _nearest_cells(spec, agents, candidates, coalition) -> list:
     # the rule reads the nearest candidate to order statistics of the
-    # reports (to each report, for rd); the k-th smallest report lies in the
-    # k-th smallest of the reports' midpoint cells, so fixing every member's
-    # cell fixes the outcome, wherever the other agents are
-    return [_midpoints(candidates)] * len(coalition)
+    # reports (to each report, for rd and dictator); the k-th smallest
+    # report lies in the k-th smallest of the reports' midpoint cells, so
+    # fixing every member's cell fixes the outcome, wherever the other
+    # agents are
+    return [_nearest] * len(coalition)
 
 
-def _dictator_breakpoints(spec, agents, candidates, coalition) -> list:
-    return [_midpoints(candidates) if i == spec.dictator else [] for i in coalition]
+def _dictator_cells(spec, agents, candidates, coalition) -> list:
+    return [_nearest if i == spec.dictator else () for i in coalition]
 
 
-def _mean_breakpoints(spec, agents, candidates, coalition) -> Optional[list]:
+def _mean_cells(spec, agents, candidates, coalition) -> Optional[list]:
     # the sum S_-i + r crosses n times a midpoint at r = n * mid - S_-i; two
     # members' reports move one sum, so their cells are not a product
     if len(coalition) > 1:
@@ -206,15 +223,15 @@ def _mean_breakpoints(spec, agents, candidates, coalition) -> Optional[list]:
     return [[n * mid - others for mid in _midpoints(candidates)]]
 
 
-# kind -> (rule, facilities it opens, defined on the line only, breakpoints)
+# kind -> (rule, facilities it opens, defined on the line only, cells)
 RULES = {
-    "leftmost": (_leftmost, 1, True, _nearest_breakpoints),
-    "dictator": (_dictator, 1, False, _dictator_breakpoints),
-    "two-extremes": (_two_extremes, 2, True, _nearest_breakpoints),
-    "median": (_median, 1, True, _nearest_breakpoints),
-    "rd": (_random_dictatorship, 1, False, _nearest_breakpoints),
-    "wpv": (_wpv, 1, True, _nearest_breakpoints),
-    "mean": (_mean, 1, True, _mean_breakpoints),
+    "leftmost": (_leftmost, 1, True, _nearest_cells),
+    "dictator": (_dictator, 1, False, _dictator_cells),
+    "two-extremes": (_two_extremes, 2, True, _nearest_cells),
+    "median": (_median, 1, True, _nearest_cells),
+    "rd": (_random_dictatorship, 1, False, _nearest_cells),
+    "wpv": (_wpv, 1, True, _nearest_cells),
+    "mean": (_mean, 1, True, _mean_cells),
 }
 
 
@@ -267,16 +284,22 @@ class MechanismSpec:
             return "wpv:" + ",".join(str(w) for w in self.weights)
         return self.kind
 
-    def breakpoints(self, agents, candidates, coalition) -> Optional[list]:
-        """Per member of the coalition (1-based indices), the sorted
-        doubled ints at which that member's report can change the rule's
-        outcome on the line, or None if every report must be tried.
+    def cells(self, agents, candidates, coalition) -> Optional[list]:
+        """Per member of the coalition (1-based indices), how the rule
+        reads that member's report, or None if every report must be
+        tried.  agents and candidates are the true locations as the
+        instance stores them (Instance.scaled).
 
-        The breakpoints cut the line into cells: the open gaps between
-        them and each breakpoint on its own.  While every other agent
-        reports its location, the outcome is the same for all joint
-        reports that put each member in the same cell.  agents and
-        candidates are the true locations as ints over one scale."""
+        A member's cut is a feature, such as _nearest, a function of the
+        space and the candidate ints that names the cut on that space, or
+        the sorted doubled ints of a cut on the line.  On the line a cut
+        is its breakpoints: they cut the line into cells, the open gaps
+        between them and each breakpoint on its own.  On a finite metric
+        a cut is a key per point, and a class is the points with one key;
+        a member whose cut is not a feature has one class, so is idle.
+        While every other agent reports its location, the outcome is the
+        same for all joint reports that put each member in the same cell
+        or class."""
         return RULES[self.kind][3](self, agents, candidates, coalition)
 
     def apply(self, instance: Instance) -> Outcome:

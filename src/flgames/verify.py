@@ -21,25 +21,32 @@ then lexicographic agent indices (so single agents ascending first),
 joint misreports in product order with the last member's report
 varying fastest, each member's reports ascending.
 
-On the line most joint reports need no rule call.  With the other
-agents reporting their locations, every line rule's outcome is
-piecewise-constant in a coalition member's report, changing only at
-finitely many points (Moulin 1980, "On strategy-proofness and
-single-peakedness"; Schummer & Vohra 2002, "Strategy-proof location on
-a network").  A rule that declares those points for each member
-(MechanismSpec.breakpoints) cuts the line, per member, into cells: the
-open gaps between the points and each point on its own, such that all
-joint reports putting every member in the same cell have one outcome.
-The search then tries, for each member, only the first of its options
-in each cell, ascending.  This returns the same witness: replacing each
-member's report in the first witness by the first option of its cell
-gives a profile with the same outcome, so a witness too, and no later
-in scan order, so the first witness itself.  It is therefore a profile
-of first options, and the reduced scan meets it after exactly the
-profiles of first options the full scan meets before it.  A clean
-result still covers every joint report the count names; only the rule
-calls fall.  A rule that declares nothing, and every rule on a finite
-metric, is handed every joint report.
+Most joint reports need no rule call.  With the other agents reporting
+their locations, every line rule's outcome is piecewise-constant in a
+coalition member's report, changing only at finitely many points
+(Moulin 1980, "On strategy-proofness and single-peakedness"; Schummer &
+Vohra 2002, "Strategy-proof location on a network"), and rd and
+dictator:i on a finite metric read a report only through its nearest
+candidate.  A rule that declares, for each member, how it reads that
+member's report (MechanismSpec.cells) splits the member's reports into
+classes: on the line the cells its breakpoints cut, the open gaps
+between the points and each point on its own; on a finite metric the
+points with one key, such as one nearest candidate.  All joint reports
+putting every member in the same class have one outcome.  The search
+then tries, for each member, only the first of its options in each
+class, in scan order, and on a finite metric none in the member's own
+class.  This returns the same witness.  A member reporting in its own
+class gives the truthful outcome, so the coalition without it, which
+the size-ascending scan meets first, holds a witness too; replacing
+each member's report in the first witness by the first option of its
+class gives a profile with the same outcome, so a witness too, and no
+later in scan order, so the first witness itself.  It is therefore a
+profile of first options outside the members' own classes, and the
+reduced scan meets it after exactly the profiles of such options the
+full scan meets before it.  A clean result still covers every joint
+report the count names; only the rule calls fall.  A feature's classes
+and each agent's first options in them are found once per search.  A
+rule that declares nothing is handed every joint report.
 
 The search costs every outcome on the core's integer cost table of the
 true agents (distance_rows).  For a deterministic rule it first cuts
@@ -220,6 +227,42 @@ def _cell_firsts(options: tuple[int, ...], breakpoints) -> list[int]:
     return sorted(d for d in starts if d < len(options))
 
 
+def _cell_options(options: tuple[int, ...], breakpoints) -> tuple[int, ...]:
+    """The first of the ascending int options in each cell, ascending."""
+    return tuple(map(options.__getitem__, _cell_firsts(options, breakpoints)))
+
+
+class _ClassOptions(dict):
+    """Per feature a rule's cells name, its cut on the search's space
+    over the stored candidates; per (feature, agent), the agent's first
+    option in each class of that cut, in scan order: on the line in each
+    cell, on a finite metric in each class but the agent's own.  Each is
+    found the first time it is asked for and kept for the rest of the
+    search."""
+
+    __slots__ = ("space", "stored", "options")
+
+    def __init__(self, space, stored: tuple, options: list):
+        self.space, self.stored, self.options = space, stored, options
+
+    def __missing__(self, key):
+        if callable(key):
+            value = key(self.space, self.stored[1])
+        elif isinstance(self.space, Line):
+            feature, i = key
+            value = _cell_options(self.options[i - 1], self[feature])
+        else:
+            feature, i = key
+            cut, firsts = self[feature], {}
+            own = cut[self.stored[0][i - 1] - 1]
+            for point in self.options[i - 1]:
+                if cut[point - 1] != own:
+                    firsts.setdefault(cut[point - 1], point)
+            value = tuple(firsts.values())
+        self[key] = value
+        return value
+
+
 class _SelectionCosts(dict):
     """One agent's cost for each selection looked up, read off its row of
     the table (core.row_cost) the first time that selection is asked for
@@ -258,9 +301,11 @@ def find_group_deviation(
     idle member implies a smaller-coalition witness, which the
     size-ascending scan finds first.  Each agent tries every point of
     misreport_set(instance, grid_points, guard, max_coalition) but its
-    own location.  Raises what misreport_set raises, before building the
-    set, and then, for a deterministic rule, GuardExceeded if the
-    candidate multisets the cut enumerates exceed the guard.
+    own location, or, for a rule that declares cells, the first of those
+    in each of its classes (on a finite metric, each but its own).
+    Raises what misreport_set raises, before building the set, and then,
+    for a deterministic rule, GuardExceeded if the candidate multisets
+    the cut enumerates exceed the guard.
     """
     n = instance.n
     points, stored = _misreports(instance, grid_points, guard, max_coalition)
@@ -288,9 +333,10 @@ def find_group_deviation(
     else:
         # per agent, its cost for each selection a shifted lottery holds
         costs = [_SelectionCosts(row) for row in table]
-    # a rule that declares no breakpoints, or any rule off the line, is
-    # handed every joint report
-    declared = getattr(mechanism, "breakpoints", None) if isinstance(instance.space, Line) else None
+    # a rule that declares no cells is handed every joint report
+    declared = getattr(mechanism, "cells", None)
+    line = isinstance(instance.space, Line)
+    classes = _ClassOptions(instance.space, stored, options)
     # every agent outside the coalition keeps its one truthful report, so
     # product() yields whole profiles, the last member's report fastest;
     # each arrives with the rest of the stored triple, `carried`
@@ -305,12 +351,17 @@ def find_group_deviation(
             elif any(base_costs[i - 1] == 0 for i in coalition):
                 # a member already at cost 0 can never strictly improve
                 continue
-            members = [options[i - 1] for i in coalition]
-            cells = declared(agents, candidates, coalition) if declared else None
-            if cells is not None:
-                # each member's first option in each of its cells
+            cuts = declared(agents, candidates, coalition) if declared else None
+            if cuts is None:
+                members = [options[i - 1] for i in coalition]
+            else:
+                # each member's first option in each of its classes; on a
+                # finite metric a member with no feature is idle
                 members = [
-                    tuple(map(o.__getitem__, _cell_firsts(o, b))) for o, b in zip(members, cells)
+                    classes[cut, i] if callable(cut)
+                    else _cell_options(options[i - 1], cut) if line
+                    else ()
+                    for i, cut in zip(coalition, cuts)
                 ]
             choices = truthful_choices[:]
             for i, member in zip(coalition, members):

@@ -158,6 +158,15 @@ def test_a5_deviation_searches():
             is None
         ), index
 
+    # the paper's single-facility result holds on any metric: dictator:1 is
+    # group strategyproof, searched up to the full coalition; rd is searched
+    # alone, since a coalition can gain from it in expectation
+    metric = RandomFamily("metric-closure", n=4, m=3, k=1, seed=205)
+    for index in range(1000):
+        inst = random_instance(metric, index)
+        assert find_group_deviation(inst, dictator_spec(1), max_coalition=4) is None, index
+        assert find_unilateral_deviation(inst, RD) is None, index
+
     # the movable strawman is caught with the documented exact witness
     trap = build_paper_instance(PaperConstruction("single-lb-I", eps=F(1, 10)))
     witness = find_unilateral_deviation(trap, MEAN)

@@ -14,6 +14,7 @@ from flgames.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_PIPE,
     InstanceParseError,
     decimal_string,
     instance_from_json,
@@ -863,6 +864,27 @@ def test_python_m_output_is_the_same_bytes_under_any_hash_seed(capsys):
             )
             assert done.returncode == EXIT_OK, done.stderr
             assert done.stdout == expected, (argv, seed)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_with_the_pipe_code_and_no_traceback(unbuffered):
+    """`python -m flgames` whose reader has closed stdout exits EXIT_PIPE
+    and writes nothing on stderr, whether the write that fails is print's,
+    unbuffered, or the final flush."""
+    argv = ["replay", "--construction", "single-deterministic", "--mechanism", "leftmost"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen(
+        [sys.executable, "-m", "flgames", *argv, "--epsilon", "1/10"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        child.stdout.close()  # before the child can have written anything
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == EXIT_PIPE, err
+    assert err == b""
 
 
 def test_package_runs_on_the_standard_library_alone(capsys):

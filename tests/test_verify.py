@@ -47,7 +47,15 @@ from reference import (
     reference_misreport_points,
     reference_unilateral,
 )
-from strategies import FINE, HALVES, LB_BASE, end_weights, line_instances, tie_instances
+from strategies import (
+    FINE,
+    HALVES,
+    LB_BASE,
+    end_weights,
+    line_instances,
+    metric_instances,
+    tie_instances,
+)
 
 # crafted so the mean rule resists every single misreport in the searched
 # set but falls to agents 1 and 2 lying jointly
@@ -297,12 +305,12 @@ class Lockstep(CountingRule):
 
 
 class DeclaringLockstep(Lockstep):
-    """Lockstep that forwards the wrapped rule's breakpoints, if it
-    declares any, so the search tries one report per cell, as it does
-    for the rule itself."""
+    """Lockstep that forwards the wrapped rule's cells, on either space,
+    if it declares any, so the search tries one report per cell or
+    class, as it does for the rule itself."""
 
-    def breakpoints(self, agents, candidates, coalition):
-        declared = getattr(self.rule, "breakpoints", None)
+    def cells(self, agents, candidates, coalition):
+        declared = getattr(self.rule, "cells", None)
         return declared and declared(agents, candidates, coalition)
 
 
@@ -401,12 +409,12 @@ def test_search_skips_coalitions_no_selection_can_help_but_not_lotteries():
         counting = CountingRule(rule)
         assert find_group_deviation(inst, counting, max_coalition=3, grid_points=3) is None
         assert counting.calls == 1
-    # a rule that declares no breakpoints is handed every joint report
+    # a rule that declares no cells is handed every joint report
     lottery = CountingRule(RD)
     assert find_group_deviation(inst, lottery, max_coalition=3, grid_points=3) is None
     assert lottery.calls == 1 + joint_misreport_count(inst.n, len(misreports) - 1, 3)
-    # rd declares only candidate midpoints, so with one candidate every
-    # member's reports make one cell: one call per coalition
+    # rd's line cells are cut at candidate midpoints only, so with one
+    # candidate every member's reports make one cell: one call per coalition
     declaring = DeclaringLockstep(RD)
     assert find_group_deviation(inst, declaring, max_coalition=3, grid_points=3) is None
     assert declaring.calls == 1 + 7
@@ -425,7 +433,7 @@ def count_cases(draw):
 @given(case=count_cases(), grid_points=st.integers(0, 5))
 @settings(max_examples=100, deadline=None)
 def test_count_is_the_work_of_an_uncut_search(case, grid_points):
-    """A rule that declares no breakpoints, such as CountingRule, is
+    """A rule that declares no cells, such as CountingRule, is
     handed every joint report, and a lottery's coalitions are skipped
     only at a member whose truthful cost is 0, so with none such a clean
     search applies the rule once truthfully and once per joint report
@@ -497,7 +505,7 @@ def test_every_profile_arrives_with_its_own_ints():
     family = random_instance(RandomFamily("line-uniform", n=4, m=3, k=1, seed=7), 3)
     pair = line_instance((F(-1, 3), F(1, 7), 2, F(5, 2)), (0, F(1, 2), 3), k=2)
     for wrapper, rule, inst, calls in (
-        # Lockstep declares no breakpoints, so the lottery rd, whose
+        # Lockstep declares no cells, so the lottery rd, whose
         # coalitions are never cut here, sees every joint report
         (Lockstep, RD, family, 3439),
         (Lockstep, LEFTMOST, family, 100),
@@ -516,6 +524,9 @@ def test_every_profile_arrives_with_its_own_ints():
         (DeclaringLockstep, LEFTMOST, family, 16),
         (DeclaringLockstep, MEAN, PAIR_TRAP, 52),
         (DeclaringLockstep, MEAN_AND_MEDIAN, pair, 10),
+        # on the metric, one report per nearest-candidate class, none in
+        # the member's own: each of rd's 7 coalitions tries one profile
+        (DeclaringLockstep, RD, METRIC_FIXTURE, 8),
     ):
         misreports = misreport_set(inst, grid_points=3)
         lockstep = wrapper(rule)
@@ -524,8 +535,8 @@ def test_every_profile_arrives_with_its_own_ints():
         assert lockstep.calls == calls, (wrapper, rule, lockstep.calls)
 
 
-# every kind that declares breakpoints, by n: wpv with uniform weights and
-# with zero weights, and mean, which declares them for single agents only
+# every kind that declares cells, by n: wpv with uniform weights and with
+# zero weights, and mean, which declares them for single agents only
 DECLARING = (
     lambda n: LEFTMOST,
     lambda n: MEDIAN,
@@ -541,7 +552,7 @@ DECLARING = (
 
 @st.composite
 def cell_cases(draw):
-    """A rule that declares breakpoints, a line instance with n >= 2 it is
+    """A rule that declares cells, a line instance with n >= 2 it is
     defined on, a coalition of up to 3 members, their reports and the
     points those are drawn from: the misreport set, every candidate
     midpoint and, for a single member, every report at which the mean
@@ -583,19 +594,130 @@ def test_outcome_is_constant_on_each_declared_cell(case):
     rule, instance, coalition, reports, points = case
     _, ints = scale_to_integers(instance.agents + instance.candidates + points)
     n, m = instance.n, instance.m
-    cells = rule.breakpoints(ints[:n], ints[n : n + m], coalition)
-    if cells is None:
+    cuts = rule.cells(ints[:n], ints[n : n + m], coalition)
+    if cuts is None:
         assert rule is MEAN and len(coalition) > 1
         return
     point_ints = tuple(ints[n + m :])
     profile, firsts = list(instance.agents), list(instance.agents)
-    for i, report, breakpoints in zip(coalition, reports, cells):
+    for i, report, cut in zip(coalition, reports, cuts):
+        breakpoints = cut(instance.space, ints[n : n + m]) if callable(cut) else cut
         assert list(breakpoints) == sorted(breakpoints)
         at = points.index(report)
         profile[i - 1] = report
         firsts[i - 1] = points[max(d for d in _cell_firsts(point_ints, breakpoints) if d <= at)]
     outcome = rule.apply(instance.replace_agents(profile))
     assert rule.apply(instance.replace_agents(firsts)) == outcome
+
+
+def metric_rules(instance):
+    """rd or a dictator, the rules defined on a finite metric."""
+    return st.sampled_from([RD] + [dictator_spec(i) for i in range(1, instance.n + 1)])
+
+
+# agents 1 and 2 at points 1 and 2 each vote for their own nearest
+# candidate, but both gain by voting for point 5, which candidates 2 and 4
+# share: rd's first witness needs the coalition of both, and point 6, one
+# step past point 5, falls in its class, so it must not be the one tried
+CO_LOCATED = metric_instance(
+    (
+        (0, 4, 1, 5, 2, 3),
+        (4, 0, 5, 1, 2, 3),
+        (1, 5, 0, 6, 3, 4),
+        (5, 1, 6, 0, 3, 4),
+        (2, 2, 3, 3, 0, 1),
+        (3, 3, 4, 4, 1, 0),
+    ),
+    (1, 2),
+    (3, 5, 4, 5),
+)
+
+
+@given(case=metric_instances().flatmap(lambda inst: st.tuples(metric_rules(inst), st.just(inst))))
+@example(case=(RD, CO_LOCATED))
+@settings(max_examples=150, deadline=None)
+def test_metric_class_search_matches_the_reference(case):
+    """On a finite metric, where points may repeat and so candidates may
+    share a point, the search that tries one report per nearest-candidate
+    class finds the reference's first witness, or None, at every
+    coalition bound."""
+    rule, instance = case
+    misreports = misreport_set(instance)
+    for max_coalition in range(1, instance.n + 1):
+        assert find_group_deviation(instance, rule, max_coalition) == reference_group(
+            instance, rule, misreports, max_coalition
+        )
+
+
+def test_co_located_candidates_make_one_class():
+    lockstep = DeclaringLockstep(RD)
+    witness = find_group_deviation(CO_LOCATED, lockstep, max_coalition=2)
+    assert (witness.coalition, witness.misreports) == ((1, 2), (5, 5))
+    # the classes' first points are 1, 2 and 5, points 3, 4 and 6 falling
+    # in the classes of 1, 2 and 5: agent 1 tries 2 and 5, agent 2 tries 1
+    # and 5, alone and then jointly, and the fourth joint profile is the
+    # witness
+    assert lockstep.calls == 1 + 2 + 2 + 4
+
+
+def nearest_high(space, candidates):
+    """The nearest candidate of each point with ties to the larger index."""
+    keys = []
+    for row in space.scaled:
+        distances = [row[c - 1] for c in candidates]
+        keys.append(len(distances) - 1 - distances[::-1].index(min(distances)))
+    return tuple(keys)
+
+
+class TiesHigh:
+    """rd, declaring classes whose ties go to the larger index, while rd
+    breaks them to the smaller: a wrong declaration."""
+
+    def apply(self, instance):
+        return RD.apply(instance)
+
+    def cells(self, agents, candidates, coalition):
+        return [nearest_high] * len(coalition)
+
+
+def first_of_each_class_keeps_outcome(rule, instance, coalition, reports):
+    """Whether, on a finite metric, replacing each member's report by the
+    first point of its declared class keeps the outcome.  A member whose
+    cut is not a feature has one class."""
+    agents, candidates, _ = instance.scaled
+    profile, firsts = list(agents), list(agents)
+    for i, report, cut in zip(coalition, reports, rule.cells(agents, candidates, coalition)):
+        keys = cut(instance.space, candidates) if callable(cut) else (0,) * instance.space.size
+        profile[i - 1] = report
+        firsts[i - 1] = keys.index(keys[report - 1]) + 1
+    return rule.apply(instance.replace_agents(profile)) == rule.apply(instance.replace_agents(firsts))
+
+
+@st.composite
+def metric_class_cases(draw):
+    """rd or a dictator, a metric instance, a coalition of any size and
+    its members' reports, any points."""
+    instance = draw(metric_instances())
+    members = draw(st.sets(st.integers(1, instance.n), min_size=1))
+    reports = tuple(draw(st.integers(1, instance.space.size)) for _ in members)
+    return draw(metric_rules(instance)), instance, tuple(sorted(members)), reports
+
+
+@given(case=metric_class_cases())
+@example(case=(RD, CO_LOCATED, (1, 2), (6, 6)))
+@settings(max_examples=300, deadline=None)
+def test_outcome_is_constant_on_each_declared_class(case):
+    """The metric twin of the cell lemma: replacing each member's report
+    by the first point of its class keeps the outcome."""
+    assert first_of_each_class_keeps_outcome(*case)
+
+
+def test_class_check_catches_ties_declared_to_the_larger_index():
+    # point 2 is as near candidate 1, at point 1, as candidate 2, at point 3
+    path = metric_instance(((0, 1, 2), (1, 0, 1), (2, 1, 0)), (1,), (1, 3))
+    assert first_of_each_class_keeps_outcome(RD, path, (1,), (3,))
+    # TiesHigh puts point 2 in candidate 2's class, first before point 3
+    assert not first_of_each_class_keeps_outcome(TiesHigh(), path, (1,), (3,))
 
 
 def test_anonymity_of_anonymous_rules():
