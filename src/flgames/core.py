@@ -15,6 +15,8 @@ Conventions:
 
 One routine checks a finite metric's matrix and closes it under shortest
 paths: FiniteMetric raises at its first shortcut, _closure keeps it closed.
+Either way the metric stores only its closed ints over one reduced scale
+(FiniteMetric.scaled); its Fraction matrix is built when read.
 
 An instance stores its locations on either space as one int triple
 (Instance.scaled): agent ints, candidate ints and one positive scale.
@@ -35,7 +37,7 @@ block of agents, and costs blocks, not agents
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
@@ -96,7 +98,7 @@ LINE = Line()
 def _close(matrix):
     """Check a matrix (nonempty, square, zero diagonal, symmetric and
     nonnegative) and close its scale_to_integers ints in place with
-    Floyd-Warshall.  Returns (rows, scale, closed ints, the first 0-based
+    Floyd-Warshall.  Returns (scale, closed ints, the first 0-based
     (i, mid, j) whose d(i, j) the loop shortened, or None); nothing changes
     before that, so it is the first triangle violation in (mid, i, j) order."""
     rows = tuple(tuple(parse_scalar(entry) for entry in row) for row in matrix)
@@ -126,10 +128,10 @@ def _close(matrix):
                 if relaxed < row_i[j]:
                     row_i[j] = relaxed
                     shortcut = shortcut or (i, mid, j)
-    return rows, scale, dist, shortcut
+    return scale, dist, shortcut
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FiniteMetric:
     """A finite metric space given by an explicit distance matrix.
 
@@ -137,39 +139,45 @@ class FiniteMetric:
     nonnegative entries, and must satisfy the triangle inequality.  All
     of this is checked at construction, so downstream code can rely on
     any FiniteMetric value being a genuine (pseudo)metric.
+
+    A metric stores only ints: `scaled`, the matrix as ints over one
+    positive `scale`, reduced so that gcd(scale, *entries) == 1.  That
+    form is canonical, so equality and hashing read it.  Mechanisms and
+    costs read it too; `matrix`, the Fraction entries, is built when read.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    # the same matrix as ints over one common denominator, `scale`;
-    # mechanisms and costs read it
-    scaled: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    scale: int = field(init=False, compare=False, repr=False)
+    scaled: tuple[tuple[int, ...], ...]
+    scale: int
 
-    def __post_init__(self):
-        rows, scale, dist, shortcut = _close(self.matrix)
+    def __init__(self, matrix):
+        scale, dist, shortcut = _close(matrix)
         if shortcut is not None:
             i, mid, j = (x + 1 for x in shortcut)
             raise ValueError(f"triangle inequality fails: d({i},{j}) > d({i},{mid}) + d({mid},{j})")
-        self.__dict__.update(matrix=rows, scaled=tuple(map(tuple, dist)), scale=scale)
+        # reduced entries over their lcm share no factor with it
+        self.__dict__.update(scaled=tuple(map(tuple, dist)), scale=scale)
 
     @classmethod
     def _closure(cls, weights) -> "FiniteMetric":
         """The shortest-path closure of a weight matrix, a metric by
         construction, so not checked again.  Dividing by the gcd makes
         `scale` and `scaled` what FiniteMetric(closure) computes."""
-        _, scale, dist, _ = _close(weights)
+        scale, dist, _ = _close(weights)
         g = gcd(scale, *(v for row in dist for v in row))
         space = object.__new__(cls)
-        space.__dict__.update(
-            matrix=tuple(tuple(Fraction(v, scale) for v in row) for row in dist),
-            scaled=tuple(tuple(v // g for v in row) for row in dist),
-            scale=scale // g,
-        )
+        space.__dict__.update(scaled=tuple(tuple(v // g for v in row) for row in dist), scale=scale // g)
         return space
 
     @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.scaled)
+
+    @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.scaled)
+
+    def __repr__(self) -> str:
+        return f"FiniteMetric(matrix={self.matrix!r})"
 
 
 Space = Union[Line, FiniteMetric]
@@ -180,9 +188,9 @@ def distance(space: Space, a, b) -> Fraction:
     if isinstance(space, Line):
         return abs(a - b)
     p = space.size
-    if not (1 <= a <= p and 1 <= b <= p):
-        raise IndexError(f"point index out of range for a {p}-point space: {a}, {b}")
-    return space.matrix[a - 1][b - 1]
+    if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= p for x in (a, b)):
+        raise IndexError(f"point index out of range for a {p}-point space: {a!r}, {b!r}")
+    return Fraction(space.scaled[a - 1][b - 1], space.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from flgames.cli import (
     put_scalar,
 )
 from flgames.core import line_instance, metric_instance
+from flgames.instances import RandomFamily, random_instance
 from flgames.mechanisms import LEFTMOST, TWO_EXTREMES
 from flgames.solver import INFINITE_RATIO, GuardExceeded
 
@@ -80,7 +81,9 @@ def test_instance_json_round_trip_line():
 
 def test_instance_json_round_trip_metric():
     inst = metric_instance(((0, 1, 2), (1, 0, 1), (2, 1, 0)), (1, 2), (3,), k=1)
-    assert instance_from_json(instance_to_json(inst)) == inst
+    drawn = random_instance(RandomFamily("metric-closure", n=8, m=8), 0)
+    for instance in (inst, drawn):
+        assert instance_from_json(instance_to_json(instance)) == instance
 
 
 def test_instance_json_rejections():
@@ -600,6 +603,12 @@ PINNED_SWEEPS = {
     "metric-dictator-mc": (
         ["--family", "metric-closure", "--mechanism", "dictator:1", "--objective", "mc"],
         "4fafaeacd071347ac6169d9d96c2aba6752ccd9fbee07327c494e4797f3d39a9",
+    ),
+    # ratio-sweep's slowest row
+    "metric-n8-m8-dictator-mc": (
+        ["--family", "metric-closure", "--n", "8", "--m", "8", "--mechanism", "dictator:1"]
+        + ["--objective", "mc"],
+        "7ed89733efcbf225daf6d86eba46196fd12bfec79044a982508c54bde57b3a90",
     ),
 }
 

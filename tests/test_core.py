@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from flgames.core import (
     parse_scalar,
     permute_agents,
 )
+from flgames.instances import RandomFamily, random_instance
 from flgames.mechanisms import wpv_spec
 
 from strategies import QUARTERS, line_instances, outcomes
@@ -60,8 +62,9 @@ def test_distance_metric():
     space = FiniteMetric(((0, 3), (3, 0)))
     assert distance(space, 1, 2) == 3
     assert distance(space, 2, 2) == 0
-    with pytest.raises(IndexError):
-        distance(space, 1, 3)
+    for a, b in ((1, 3), (True, 2), (1.0, 2)):
+        with pytest.raises(IndexError):
+            distance(space, a, b)
 
 
 def test_metric_validation_rejects_bad_matrices():
@@ -132,6 +135,22 @@ def test_line_instance_stores_only_its_int_form():
     for name in ("agents", "candidates", "scaled"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(inst, name, inst.scaled)
+
+
+def test_finite_metric_stores_only_its_reduced_int_form():
+    public = FiniteMetric(((0, "1/2", "1/3"), ("1/2", 0, "1/2"), ("1/3", "1/2", 0)))
+    assert [f.name for f in dataclasses.fields(FiniteMetric)] == ["scaled", "scale"]
+    assert vars(public) == {"scaled": ((0, 3, 2), (3, 0, 3), (2, 3, 0)), "scale": 6}
+    drawn = random_instance(RandomFamily("metric-closure", n=8, m=8), 0).space
+    # the 1/7 edge closes to 0 through point 3, so the closure's scale cancels
+    cancelled = FiniteMetric._closure(((0, F(1, 7), 0), (F(1, 7), 0, 0), (0, 0, 0)))
+    assert vars(cancelled) == {"scaled": ((0, 0, 0),) * 3, "scale": 1}
+    for space in (public, drawn, cancelled):
+        assert set(vars(space)) == {"scaled", "scale"}
+        assert gcd(space.scale, *(v for row in space.scaled for v in row)) == 1
+        assert space.matrix == tuple(tuple(F(v, space.scale) for v in row) for row in space.scaled)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        public.scale = 1
 
 
 def test_one_location_builds_one_fraction(monkeypatch):

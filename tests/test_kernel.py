@@ -511,6 +511,8 @@ def test_closure_and_triangle_check_match_reference(weights):
     assert closure.matrix == expected.matrix
     assert closure.scaled == expected.scaled
     assert closure.scale == expected.scale
+    assert hash(closure) == hash(expected)
+    assert FiniteMetric(closure.matrix) == closure
     assert repr(closure) == repr(expected)
     error = ref_triangle_error(weights)
     if error is None:
