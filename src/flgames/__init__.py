@@ -9,7 +9,6 @@ from .core import (
     Line,
     Outcome,
     Randomized,
-    distance,
     line_instance,
     metric_instance,
     outcome_agent_cost,
@@ -23,7 +22,6 @@ from .instances import (
     PaperConstruction,
     RandomFamily,
     build_paper_instance,
-    metric_closure,
     random_instance,
 )
 from .mechanisms import (
@@ -46,8 +44,6 @@ from .solver import (
     Ratio,
     evaluate,
     optimal,
-    ratio,
-    ratio_of,
 )
 from .verify import (
     DEFAULT_GRID_POINTS,

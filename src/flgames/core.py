@@ -26,9 +26,9 @@ ints too: a lottery is stored only as int weights over one positive
 denominator, in lowest terms (Randomized.scaled), and a selection is
 its own point mass.  outcome_cost and outcome_agent_cost return
 Fraction(int, denominator * scale) and the solver's optimum
-Fraction(int, scale), the exact values; distance() is the plain
-rational definition.  selection_cost costs a selection off the table's
-columns one agent at a time, as the solver does on a finite metric.
+Fraction(int, scale), the exact values.  selection_cost costs a
+selection off the table's columns one agent at a time, as the solver
+does on a finite metric.
 On the line the solver reads the same ints in agent position order
 instead, where each facility of a selection serves one contiguous
 block of agents, and costs blocks, not agents
@@ -183,18 +183,15 @@ class FiniteMetric:
 Space = Union[Line, FiniteMetric]
 
 
-def distance(space: Space, a, b) -> Fraction:
-    """Exact distance between two points of a space."""
-    if isinstance(space, Line):
-        return abs(a - b)
-    p = space.size
-    if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= p for x in (a, b)):
-        raise IndexError(f"point index out of range for a {p}-point space: {a!r}, {b!r}")
-    return Fraction(space.scaled[a - 1][b - 1], space.scale)
-
-
 # ---------------------------------------------------------------------------
 # instances
+
+
+def _check_index(index, count: int, what: str) -> None:
+    """Refuse an index that is not an int in 1..count.  A bool is refused
+    though it is an int, as in parse_scalar: True is not agent 1."""
+    if type(index) is not int or not 1 <= index <= count:
+        raise IndexError(f"{what} index out of range 1..{count}: {index!r}")
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -271,13 +268,11 @@ class Instance:
         return len(self.scaled[1])
 
     def agent(self, i: int):
-        if not 1 <= i <= self.n:
-            raise IndexError(f"agent index out of range: {i}")
+        _check_index(i, self.n, "agent")
         return self._location(0, i - 1)
 
     def candidate(self, j: int):
-        if not 1 <= j <= self.m:
-            raise IndexError(f"candidate index out of range: {j}")
+        _check_index(j, self.m, "candidate")
         return self._location(1, j - 1)
 
     def _key(self) -> tuple:
@@ -455,9 +450,19 @@ def selection_cost(columns, selection: tuple[int, ...], objective: str) -> int:
     return sum(costs) if objective == "sc" else max(costs)
 
 
+def check_selections(instance: Instance, outcome: Outcome) -> None:
+    """Refuse an outcome with a selection that is not k candidate indices
+    in 1..m, where a table read would cost the wrong facilities or fail."""
+    k, m = instance.k, instance.m
+    for selection in outcome.scaled[0]:
+        if len(selection) != k or max(selection) > m:
+            raise ValueError(f"selection {selection} does not hold k={k} candidate indices in 1..{m}")
+
+
 def outcome_cost(instance: Instance, outcome: Outcome, objective: str) -> Fraction:
     """Objective value of an outcome, in expectation if randomized."""
     validate_objective(objective)
+    check_selections(instance, outcome)
     columns = tuple(zip(*distance_rows(instance)))
     selections, weights, denominator = outcome.scaled
     value = sum(w * selection_cost(columns, sel, objective) for sel, w in zip(selections, weights))
@@ -467,16 +472,17 @@ def outcome_cost(instance: Instance, outcome: Outcome, objective: str) -> Fracti
 def outcome_agent_cost(instance: Instance, outcome: Outcome, i: int) -> Fraction:
     """Agent i's distance to its nearest selected facility, in
     expectation if randomized."""
-    if not 1 <= i <= instance.n:  # where a row read would wrap
-        raise IndexError(f"agent index out of range: {i}")
+    _check_index(i, instance.n, "agent")  # where a row read would wrap at 0
+    check_selections(instance, outcome)
     cost, denominator = row_cost(distance_rows(instance, (i,))[0], outcome)
     return Fraction(cost, denominator * instance.scaled[2])
 
 
 def permute_agents(instance: Instance, permutation: Sequence[int]) -> Instance:
     """Reorder the agent profile: new agent i is old agent permutation[i-1]."""
-    if sorted(permutation) != list(range(1, instance.n + 1)):
-        raise ValueError(f"not a permutation of 1..{instance.n}: {permutation}")
+    n = instance.n
+    if any(type(p) is not int for p in permutation) or sorted(permutation) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {permutation}")
     # the same locations in another order, so the stored triple, scale and all
     agents, candidates, scale = instance.scaled
     stored = (tuple(agents[p - 1] for p in permutation), candidates, scale)

@@ -151,12 +151,6 @@ def _line_family(family: RandomFamily, rng: random.Random) -> Instance:
     return Instance._trusted(LINE, family.k, stored)
 
 
-def metric_closure(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Shortest-path closure of a weight matrix, checked as FiniteMetric
-    checks but for the triangle inequality; idempotent (core._close)."""
-    return FiniteMetric._closure(matrix).matrix
-
-
 def _metric_family(family: RandomFamily, rng: random.Random) -> Instance:
     """A symmetric matrix of weights over n+m points, upper triangle
     drawn row by row, closed under shortest paths; agents are points

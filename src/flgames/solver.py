@@ -30,7 +30,7 @@ from operator import add, sub
 from typing import NamedTuple, Union
 
 from .core import Deterministic, Instance, Line, Outcome, distance_rows
-from .core import selection_cost, validate_objective
+from .core import check_selections, selection_cost, validate_objective
 
 DEFAULT_GUARD = 10**7
 
@@ -202,14 +202,6 @@ def optimal(instance: Instance, objective: str, guard: int = DEFAULT_GUARD) -> O
     return OptResult(Fraction(best_value, instance.scaled[2]), all_best[0], all_best)
 
 
-def ratio_of(cost: Fraction, opt: Fraction) -> Ratio:
-    """Ratio convention: 0/0 is 1 (the mechanism is optimal), anything
-    positive over 0 is the infinite marker."""
-    if opt == 0:
-        return Fraction(1) if cost == 0 else INFINITE_RATIO
-    return cost / opt
-
-
 class Evaluation(NamedTuple):
     """An outcome's objective value, the exact optimum, and their ratio."""
 
@@ -221,18 +213,17 @@ class Evaluation(NamedTuple):
 def evaluate(
     instance: Instance, outcome: Outcome, objective: str, guard: int = DEFAULT_GUARD
 ) -> Evaluation:
-    """outcome_cost, optimal(...).value and ratio_of, under the same guard.
-    On the line both are read off the agents' blocks (_LineBlocks) and no
-    multiset is costed; on a finite metric, off one table of multiset
-    costs, each selection of the outcome read at its sorted tuple.  Raises
-    ValueError for a selection that is not k indices in 1..m."""
+    """outcome_cost, optimal(...).value and their ratio, under the same
+    guard: 0/0 is 1 (the outcome is optimal), and anything positive over 0
+    is INFINITE_RATIO.  On the line both are read off the agents' blocks
+    (_LineBlocks) and no multiset is costed; on a finite metric, off one
+    table of multiset costs, each selection of the outcome read at its
+    sorted tuple.  Raises ValueError for a selection that is not k indices
+    in 1..m (core.check_selections)."""
     validate_objective(objective)
     multisets = candidate_multisets(instance, guard)
+    check_selections(instance, outcome)
     selections, weights, denominator = outcome.scaled
-    k, m = instance.k, instance.m
-    for selection in selections:
-        if len(selection) != k or max(selection) > m:
-            raise ValueError(f"selection {selection} does not hold k={k} candidate indices in 1..{m}")
     if isinstance(instance.space, Line):
         blocks = _LineBlocks(instance, objective)
         value = sum(w * blocks.cost(sel) for sel, w in zip(selections, weights))
@@ -241,13 +232,9 @@ def evaluate(
         table = _cost_table(instance, objective, multisets)
         value = sum(w * table[tuple(sorted(sel))] for sel, w in zip(selections, weights))
         best = min(table.values())
+    if best:  # cost / opt with the scale cancelled
+        quotient = Fraction(value, denominator * best)
+    else:
+        quotient = INFINITE_RATIO if value else Fraction(1)
     scale = instance.scaled[2]
-    cost, opt = Fraction(value, denominator * scale), Fraction(best, scale)
-    # over a positive optimum, cost / opt with the scale cancelled
-    quotient = Fraction(value, denominator * best) if best else ratio_of(cost, opt)
-    return Evaluation(cost, opt, quotient)
-
-
-def ratio(instance: Instance, mechanism, objective: str) -> Ratio:
-    """evaluate's ratio for the mechanism's outcome, under DEFAULT_GUARD."""
-    return evaluate(instance, mechanism.apply(instance), objective).ratio
+    return Evaluation(Fraction(value, denominator * scale), Fraction(best, scale), quotient)

@@ -1,22 +1,34 @@
 """The plain Fraction model the differential tests check the package
-against: each rule by its definition, the sc and mc costs, the exact
-optimum over candidate multisets, the shortest-path closure and the
-triangle scan, the line's misreport set and both brute-force misreport
-searches, and a line family's draw.  Nothing here reads an int form."""
+against: the distance, each rule by its definition, the sc and mc
+costs, the exact optimum over candidate multisets and the ratio rule,
+the shortest-path closure and the triangle scan, the line's misreport
+set and both brute-force misreport searches, and a line family's draw.
+Nothing here reads an int form or calls a computation of the package:
+it imports only data constructors, rule specs, constants and result
+types (test_cli.py pins the names), so a fault in the package cannot
+also be a fault of its oracle."""
 
 import itertools
+import random
 from fractions import Fraction as F
 from functools import cache, partial
 
-from flgames import instances
-from flgames.core import Deterministic, Line, Randomized, distance, line_instance
+from flgames.core import Deterministic, Line, Randomized, line_instance
 from flgames.instances import GRID_DENOMINATOR
 from flgames.mechanisms import LEFTMOST, MEAN, MEDIAN, RD, TWO_EXTREMES, dictator_spec, wpv_spec
-from flgames.solver import OptResult
+from flgames.solver import INFINITE_RATIO, OptResult
 from flgames.verify import DeviationWitness
 
 # ---------------------------------------------------------------------------
-# rules, costs and the optimum
+# distances, rules, costs, the optimum and the ratio
+
+
+def distance(space, a, b):
+    """|a - b| on the line; on a finite metric, the matrix entry of the
+    points with 1-based indices a and b."""
+    if isinstance(space, Line):
+        return abs(a - b)
+    return space.matrix[a - 1][b - 1]
 
 
 def ref_closest_line(instance, point, tie):
@@ -120,6 +132,14 @@ def ref_optimal(instance, objective):
     return OptResult(best, all_best[0], all_best)
 
 
+def ref_ratio(cost, opt):
+    """cost / opt, where 0/0 is 1 (the outcome is optimal) and anything
+    positive over 0 is INFINITE_RATIO."""
+    if opt == 0:
+        return F(1) if cost == 0 else INFINITE_RATIO
+    return cost / opt
+
+
 # ---------------------------------------------------------------------------
 # the shortest-path closure and the triangle scan
 
@@ -218,12 +238,23 @@ def reference_group(instance, mechanism, misreports, max_coalition):
     return None
 
 
-def fraction_route(family, index):
-    """A line family's draw written on Fractions: each coordinate
-    Fraction(draw, GRID_DENOMINATOR), through the public constructor."""
-    rng = instances._stream(family, index)
-    draws = [
-        F(instances._uniform_int(rng, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
-        for _ in range(family.n + family.m)
-    ]
-    return line_instance(draws[: family.n], draws[family.n :], family.k)
+def line_draws(family, index):
+    """The n + m ints instance `index` of a family draws: a random.Random
+    seeded with the string "seed:index", and each int uniform in
+    0..GRID_DENOMINATOR, by rejection on getrandbits."""
+    rng = random.Random(f"{family.seed}:{index}")
+    bits = GRID_DENOMINATOR.bit_length()
+    draws = []
+    while len(draws) < family.n + family.m:
+        value = rng.getrandbits(bits)
+        if value <= GRID_DENOMINATOR:
+            draws.append(value)
+    return draws
+
+
+def fraction_route(family, draws):
+    """A line family's instance from its drawn ints, written on
+    Fractions: each coordinate Fraction(draw, GRID_DENOMINATOR), through
+    the public constructor."""
+    points = [F(v, GRID_DENOMINATOR) for v in draws]
+    return line_instance(points[: family.n], points[family.n :], family.k)

@@ -7,9 +7,10 @@ from fractions import Fraction as F
 from hypothesis import strategies as st
 
 from flgames.core import Deterministic, Randomized, line_instance, metric_instance
-from flgames.instances import PaperConstruction, build_paper_instance, metric_closure
+from flgames.instances import PaperConstruction, build_paper_instance
 from flgames.mechanisms import wpv_spec
-from flgames.verify import misreport_set
+
+from reference import ref_closure, reference_misreport_points
 
 EPS = st.integers(2, 10**6).map(lambda q: F(1, q))
 COORD = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
@@ -72,7 +73,7 @@ def tie_instances(
     spots = midpoints + candidates if on_candidates else midpoints
     if grid_points is not None:
         lo, hi = min(agents + candidates), max(agents + candidates)
-        grid = misreport_set(line_instance(agents, candidates), grid_points)
+        grid = reference_misreport_points(line_instance(agents, candidates), grid_points)
         spots = spots + [p for p in grid if lo <= p <= hi]
     agents += draw(st.lists(st.sampled_from(spots), min_size=agent_count[0], max_size=agent_count[1]))
     if mean:
@@ -106,7 +107,7 @@ def metric_instances(draw, ks=(1,)):
     points = st.integers(1, len(raw))
     agents = draw(st.lists(points, min_size=1, max_size=5))
     candidates = draw(st.lists(points, min_size=1, max_size=4))
-    return metric_instance(metric_closure(raw), agents, candidates, k=draw(st.sampled_from(ks)))
+    return metric_instance(ref_closure(raw), agents, candidates, k=draw(st.sampled_from(ks)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from flgames.mechanisms import (
     dictator_spec,
     wpv_spec,
 )
-from flgames.solver import optimal, ratio
+from flgames.solver import evaluate, optimal
 from flgames.verify import (
     check_anonymity,
     find_group_deviation,
@@ -68,12 +68,12 @@ def test_a1_two_extremes_worst_case_growth():
     outcome = TWO_EXTREMES.apply(inst)
     assert outcome == Deterministic((1, 3))
     assert [inst.candidate(j) for j in outcome.selection] == [F(2, 3) + eps, 2]
-    got = ratio(inst, TWO_EXTREMES, "sc")
+    got = evaluate(inst, TWO_EXTREMES.apply(inst), "sc").ratio
     expected = ((F(2, 3) - eps) * 2 + F(1, 3) - eps) / F(1, 3)
     assert got == expected == F(491, 100)
     eps = F(1, 10**6)
     big = build_paper_instance(PaperConstruction("example-1", eps=eps, n=10))
-    got = ratio(big, TWO_EXTREMES, "sc")
+    got = evaluate(big, TWO_EXTREMES.apply(big), "sc").ratio
     assert got == ((F(2, 3) - eps) * 8 + F(1, 3) - eps) / F(1, 3)
     assert abs(got - 17) <= F(1, 10**4)
 
@@ -108,7 +108,7 @@ def test_a3_percentile_weights_all_hit_same_ratio():
     for _ in range(100):
         first = F(rng.randrange(0, 1001), 1000)
         rule = wpv_spec((first, 1 - first))
-        assert ratio(inst, rule, "mc") == F(299, 100)
+        assert evaluate(inst, rule.apply(inst), "mc").ratio == F(299, 100)
 
 
 @acceptance("A4 ratio sweeps stay under the proven bounds", budget=60.0)

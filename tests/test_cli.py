@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -5,9 +6,11 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import flgames
 from flgames import cli, verify
 from flgames.cli import (
     EXIT_GUARD,
@@ -1010,3 +1013,77 @@ def test_reusing_the_parser_leaves_no_state(tmp_path, capsys, monkeypatch):
     assert main(["solve"]) == EXIT_PARSE
     assert capsys.readouterr() == ("", usage.err)
     assert built == [1]
+
+
+# ---------------------------------------------------------------------------
+# the public surface, the reference model's imports and README's example
+
+TESTS = Path(__file__).parent
+
+
+def flgames_imports(path):
+    """Each (module, name) a file imports from flgames, and (module, None)
+    for a plain import of an flgames module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "flgames":
+            found.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update((a.name, None) for a in node.names if a.name.partition(".")[0] == "flgames")
+    return found
+
+
+def test_exports_and_the_reference_models_imports_are_pinned():
+    """flgames exports these names and no more.  The reference model and
+    the strategies import only data constructors, rule specs, constants
+    and result types from it, so no computation of the package is also
+    the oracle a differential test checks it against."""
+    exported = {
+        name
+        for name, value in vars(flgames).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == {
+        "CONSTRUCTION_NAMES", "DEFAULT_GRID_POINTS", "DEFAULT_GUARD", "Deterministic",
+        "DeviationWitness", "FAMILY_KINDS", "FiniteMetric", "GRID_DENOMINATOR", "GuardExceeded",
+        "INFINITE_RATIO", "Instance", "LEFTMOST", "LINE", "Line", "MEAN", "MEDIAN",
+        "MechanismMismatch", "MechanismSpec", "OptResult", "Outcome", "PaperConstruction", "RD",
+        "REPLAY_CONSTRUCTIONS", "RandomFamily", "Randomized", "Ratio", "ReplayReport", "SweepRow",
+        "TWO_EXTREMES", "build_paper_instance", "check_anonymity", "dictator_spec", "evaluate",
+        "find_group_deviation", "find_unilateral_deviation", "iter_sweep", "line_instance",
+        "metric_instance", "misreport_set", "optimal", "outcome_agent_cost", "outcome_cost",
+        "parse_mechanism", "parse_scalar", "random_instance", "replay_lower_bound", "wpv_spec",
+    }
+
+    def names(module, *names):
+        return {(f"flgames.{module}", name) for name in names}
+
+    rules = ("LEFTMOST", "MEAN", "MEDIAN", "RD", "TWO_EXTREMES", "dictator_spec", "wpv_spec")
+    assert flgames_imports(TESTS / "reference.py") == (
+        names("core", "Deterministic", "Line", "Randomized", "line_instance")
+        | names("instances", "GRID_DENOMINATOR")
+        | names("mechanisms", *rules)
+        | names("solver", "INFINITE_RATIO", "OptResult")
+        | names("verify", "DeviationWitness")
+    )
+    assert flgames_imports(TESTS / "strategies.py") == (
+        names("core", "Deterministic", "Randomized", "line_instance", "metric_instance")
+        | names("instances", "PaperConstruction", "build_paper_instance")
+        | names("mechanisms", "wpv_spec")
+    )
+
+
+def test_readme_library_example_runs_and_gives_its_commented_values():
+    """Each line of README's Library block runs in turn; a line with a
+    comment is an expression whose repr is that comment."""
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, shown = line.partition("#")
+        if shown:
+            assert repr(eval(code, namespace)) == shown.strip(), line
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked == 3

@@ -12,7 +12,6 @@ from flgames.core import (
     FiniteMetric,
     Instance,
     Randomized,
-    distance,
     line_instance,
     metric_instance,
     outcome_agent_cost,
@@ -23,6 +22,7 @@ from flgames.core import (
 from flgames.instances import RandomFamily, random_instance
 from flgames.mechanisms import wpv_spec
 
+from reference import distance
 from strategies import QUARTERS, line_instances, outcomes
 
 EPS = F(1, 10)
@@ -51,20 +51,6 @@ def test_parse_scalar_rejects_floats_and_junk():
         parse_scalar("not a number")
     with pytest.raises(ValueError):
         parse_scalar("1/0")
-
-
-def test_distance_line():
-    assert distance(LINE, F(9, 10), F(11, 10)) == F(1, 5)
-    assert distance(LINE, F(3), F(3)) == 0
-
-
-def test_distance_metric():
-    space = FiniteMetric(((0, 3), (3, 0)))
-    assert distance(space, 1, 2) == 3
-    assert distance(space, 2, 2) == 0
-    for a, b in ((1, 3), (True, 2), (1.0, 2)):
-        with pytest.raises(IndexError):
-            distance(space, a, b)
 
 
 def test_metric_validation_rejects_bad_matrices():
@@ -162,12 +148,13 @@ def test_one_location_builds_one_fraction(monkeypatch):
     # the cost itself is the one Fraction an agent's cost builds
     assert outcome_agent_cost(inst, Deterministic((2,)), 4) == 3
     assert len(made) == 3
-    for i in (0, 5):
+    # True is not index 1, nor 1.0: each is refused, as out of range
+    for i in (0, 5, True, 1.0):
         with pytest.raises(IndexError):
             inst.agent(i)
         with pytest.raises(IndexError):
             outcome_agent_cost(inst, Deterministic((2,)), i)
-    for j in (0, 3):
+    for j in (0, 3, True, 1.0):
         with pytest.raises(IndexError):
             inst.candidate(j)
     assert len(made) == 3
@@ -269,8 +256,9 @@ def test_permute_agents():
     inst = line_instance((0, 5), (0, 5), k=1)
     swapped = permute_agents(inst, (2, 1))
     assert swapped.agents == (F(5), F(0))
-    with pytest.raises(ValueError):
-        permute_agents(inst, (1, 1))
+    for junk in ((1, 1), (True, 2), (1.0, 2)):
+        with pytest.raises(ValueError):
+            permute_agents(inst, junk)
     # on a metric the point indices move, and the space's scale comes along
     matrix = ((0, "1/2", "2/3"), ("1/2", 0, "1/3"), ("2/3", "1/3", 0))
     swapped = permute_agents(metric_instance(matrix, (1, 3), (2,)), (2, 1))

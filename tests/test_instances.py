@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 from dataclasses import fields
 from fractions import Fraction as F
@@ -16,12 +15,11 @@ from flgames.instances import (
     FAMILY_KINDS,
     PaperConstruction,
     RandomFamily,
-    metric_closure,
     random_instance,
 )
 from flgames.mechanisms import dictator_spec
 
-from reference import fraction_route
+from reference import fraction_route, line_draws
 from strategies import build, symmetric_matrices
 
 DATA = Path(__file__).parent / "data"
@@ -195,7 +193,7 @@ def assert_same_instance(got, want):
 @settings(max_examples=300, deadline=None)
 def test_line_draws_on_ints_are_the_fraction_route(seed, index, n, m, k):
     family = RandomFamily("line-uniform", n, m, k, seed)
-    assert_same_instance(random_instance(family, index), fraction_route(family, index))
+    assert_same_instance(random_instance(family, index), fraction_route(family, line_draws(family, index)))
 
 
 @pytest.mark.parametrize(
@@ -210,13 +208,11 @@ def test_line_draws_are_stored_reduced(monkeypatch, draws, scaled):
     """Draws sharing a factor with GRID_DENOMINATOR are divided by it, so
     the stored int form is the reduced one the Fraction route stores."""
     family = RandomFamily("line-uniform", n=3, m=2, k=1, seed=0)
-    results = []
-    for route in (random_instance, fraction_route):
-        stream = itertools.cycle(draws)
-        monkeypatch.setattr(instances, "_uniform_int", lambda rng, bound: next(stream))
-        results.append(route(family, 0))
-    assert results[0].scaled == scaled
-    assert_same_instance(*results)
+    stream = iter(draws)
+    monkeypatch.setattr(instances, "_uniform_int", lambda rng, bound: next(stream))
+    drawn = random_instance(family, 0)
+    assert drawn.scaled == scaled
+    assert_same_instance(drawn, fraction_route(family, draws))
 
 
 def test_line_family_range_and_grid():
@@ -283,7 +279,7 @@ def test_closure_fixes_one_violating_triple():
         (2, 2, 0, 7),
         (7, 7, 7, 0),
     )
-    closed = metric_closure(raw)
+    closed = FiniteMetric._closure(raw).matrix
     # the only shortcut is 1 -> 3 -> 2 of length 4
     assert closed == (
         (F(0), F(4), F(2), F(7)),
@@ -296,7 +292,7 @@ def test_closure_fixes_one_violating_triple():
 
 def test_closure_uses_multi_hop_paths():
     raw = ((0, 10, 1, 10), (10, 0, 10, 1), (1, 10, 0, 1), (10, 1, 1, 0))
-    closed = metric_closure(raw)
+    closed = FiniteMetric._closure(raw).matrix
     # 1 -> 3 -> 4 -> 2 costs 3
     assert closed[0][1] == 3
     FiniteMetric(closed)
@@ -304,11 +300,11 @@ def test_closure_uses_multi_hop_paths():
 
 def test_closure_rejects_malformed_input():
     with pytest.raises(ValueError):
-        metric_closure(((0, 1), (2, 0)))
+        FiniteMetric._closure(((0, 1), (2, 0)))
     with pytest.raises(ValueError):
-        metric_closure(((0, -1), (-1, 0)))
+        FiniteMetric._closure(((0, -1), (-1, 0)))
     with pytest.raises(ValueError):
-        metric_closure(((1,),))
+        FiniteMetric._closure(((1,),))
 
 
 RAW_SYMMETRIC = symmetric_matrices(st.integers(0, 60).map(lambda v: F(v, 6)), size=(2, 6))
@@ -319,8 +315,8 @@ RAW_SYMMETRIC = symmetric_matrices(st.integers(0, 60).map(lambda v: F(v, 6)), si
 def test_closure_is_idempotent_and_metric(raw):
     """Property: closing a closed matrix changes nothing, and the result
     always validates as a metric."""
-    closed = metric_closure(raw)
-    assert metric_closure(closed) == closed
+    closed = FiniteMetric._closure(raw).matrix
+    assert FiniteMetric._closure(closed).matrix == closed
     FiniteMetric(closed)
 
 
@@ -328,7 +324,7 @@ def test_closure_is_idempotent_and_metric(raw):
 @settings(max_examples=50)
 def test_closure_never_increases_entries(raw):
     """Property: closure only shortens distances."""
-    closed = metric_closure(raw)
+    closed = FiniteMetric._closure(raw).matrix
     for before, after in zip(raw, closed):
         for b, a in zip(before, after):
             assert a <= b

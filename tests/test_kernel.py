@@ -31,7 +31,7 @@ from flgames.core import (
 )
 from flgames.instances import CONSTRUCTION_NAMES
 from flgames.mechanisms import LEFTMOST, RD, RULES, TWO_EXTREMES, wpv_spec
-from flgames.solver import INFINITE_RATIO, Evaluation, evaluate, optimal, ratio_of
+from flgames.solver import INFINITE_RATIO, Evaluation, evaluate, optimal
 from flgames.verify import _lowers, _SelectionCosts
 
 from reference import (
@@ -40,6 +40,7 @@ from reference import (
     ref_optimal,
     ref_outcome_agent_cost,
     ref_outcome_cost,
+    ref_ratio,
     ref_triangle_error,
     reference,
     specs_for,
@@ -267,7 +268,7 @@ def test_costs_read_the_scale_a_profile_carries():
 
 
 # ---------------------------------------------------------------------------
-# one cost table: evaluate against outcome_cost, optimal and ratio_of
+# one cost table: evaluate against outcome_cost, optimal and the reference ratio
 
 
 def assert_evaluation_matches(instance, outcome):
@@ -275,9 +276,9 @@ def assert_evaluation_matches(instance, outcome):
         cost = outcome_cost(instance, outcome, objective)
         opt = optimal(instance, objective).value
         got = evaluate(instance, outcome, objective)
-        assert got == (cost, opt, ratio_of(cost, opt)), (objective, outcome, instance)
+        assert got == (cost, opt, ref_ratio(cost, opt)), (objective, outcome, instance)
         assert type(got.cost) is F and type(got.optimum) is F
-        assert repr(got.ratio) == repr(ratio_of(cost, opt))
+        assert repr(got.ratio) == repr(ref_ratio(cost, opt))
 
 
 @given(instance=ANY_INSTANCE, data=st.data())
@@ -343,7 +344,7 @@ def test_evaluation_on_one_block():
                 for selection in selections:
                     outcome = Deterministic(selection)
                     cost = ref_outcome_cost(instance, outcome, objective)
-                    want = Evaluation(cost, opt, ratio_of(cost, opt))
+                    want = Evaluation(cost, opt, ref_ratio(cost, opt))
                     assert evaluate(instance, outcome, objective) == want, (objective, selection, instance)
 
 
@@ -375,7 +376,7 @@ def test_optimum_and_evaluation_match_reference_at_larger_sizes(instance, data):
         opt = ref_optimal(instance, objective).value
         for outcome in dict.fromkeys(drawn):
             cost = ref_outcome_cost(instance, outcome, objective)
-            want = Evaluation(cost, opt, ratio_of(cost, opt))
+            want = Evaluation(cost, opt, ref_ratio(cost, opt))
             got = evaluate(instance, outcome, objective)
             assert got == want and repr(got) == repr(want), (objective, outcome, instance)
 

@@ -10,18 +10,12 @@ from flgames.core import (
     Randomized,
     line_instance,
     metric_instance,
+    outcome_agent_cost,
     outcome_cost,
     permute_agents,
 )
 from flgames.mechanisms import LEFTMOST, MEDIAN, RD, TWO_EXTREMES
-from flgames.solver import (
-    INFINITE_RATIO,
-    GuardExceeded,
-    evaluate,
-    optimal,
-    ratio,
-    ratio_of,
-)
+from flgames.solver import INFINITE_RATIO, GuardExceeded, evaluate, optimal
 
 from strategies import QUARTERS, build, line_instances
 
@@ -82,31 +76,38 @@ def test_guard():
     assert optimal(inst, "sc", guard=6).value == 0
 
 
+def rejecting_costs(instance, outcome):
+    """Every call that costs an outcome on an instance: evaluate and
+    outcome_cost on each objective, and an agent's cost."""
+    yield lambda: outcome_agent_cost(instance, outcome, 1)
+    for objective in ("sc", "mc"):
+        yield lambda: evaluate(instance, outcome, objective)
+        yield lambda: outcome_cost(instance, outcome, objective)
+
+
 def test_evaluate_rejects_a_selection_that_is_not_k_candidates():
     """A selection of the wrong size, or naming a candidate past m, is
-    refused by name on either space, after the guard's count check."""
+    refused by name on either space, by evaluate after the guard's count
+    check, and by outcome_cost and outcome_agent_cost alike."""
     line = line_instance((1, 2, 3), (0, 4), k=2)
     metric = metric_instance(((0, 1), (1, 0)), (1, 2), (1, 2), k=2)
     for instance in (line, metric):
         for selection in ((1,), (1, 2, 2), (1, 3)):
             message = f"^selection {re.escape(str(selection))} does not hold k=2 candidate indices in 1..2$"
-            for objective in ("sc", "mc"):
+            for call in rejecting_costs(instance, Deterministic(selection)):
                 with pytest.raises(ValueError, match=message):
-                    evaluate(instance, Deterministic(selection), objective)
+                    call()
         mixed = Randomized(((Deterministic((1, 2)), F(1, 2)), (Deterministic((2,)), F(1, 2))))
-        with pytest.raises(ValueError, match=re.escape("selection (2,) does not hold k=2")):
-            evaluate(instance, mixed, "sc")
+        for call in rejecting_costs(instance, mixed):
+            with pytest.raises(ValueError, match=re.escape("selection (2,) does not hold k=2")):
+                call()
         with pytest.raises(GuardExceeded, match="^3 candidate multisets exceed the guard of 2$"):
             evaluate(instance, Deterministic((1,)), "sc", guard=2)
     single = line_instance((1, 2, 3), (0, 4), k=1)
-    with pytest.raises(ValueError, match=re.escape("selection (1, 2) does not hold k=1")):
-        evaluate(single, Deterministic((1, 2)), "mc")
-
-
-def test_ratio_of_conventions():
-    assert ratio_of(F(0), F(0)) == 1
-    assert ratio_of(F(1, 2), F(0)) == INFINITE_RATIO
-    assert ratio_of(F(3), F(2)) == F(3, 2)
+    for selection in ((1, 2), (3,)):
+        for call in rejecting_costs(single, Deterministic(selection)):
+            with pytest.raises(ValueError, match=re.escape(f"selection {selection} does not hold k=1")):
+                call()
 
 
 def test_infinite_ratio_ordering():
@@ -134,22 +135,22 @@ def test_two_extremes_ratio_on_tight_instance():
     inst = build("example-1", eps=F(1, 100), n=4)
     eps = F(1, 100)
     expected = ((F(2, 3) - eps) * 2 + F(1, 3) - eps) / F(1, 3)
-    assert ratio(inst, TWO_EXTREMES, "sc") == expected == F(491, 100)
+    assert evaluate(inst, TWO_EXTREMES.apply(inst), "sc").ratio == expected == F(491, 100)
     # approaches 2n - 3 = 5 as eps shrinks
     tiny = build("example-1", eps=F(1, 10**6), n=4)
-    value = ratio(tiny, TWO_EXTREMES, "sc")
+    value = evaluate(tiny, TWO_EXTREMES.apply(tiny), "sc").ratio
     assert abs(value - 5) <= F(1, 10**4)
 
 
 def test_leftmost_ratio_on_remark_instance():
     inst = build("wpv-remark", eps=F(1, 100))
-    assert ratio(inst, LEFTMOST, "mc") == F(299, 100)
+    assert evaluate(inst, LEFTMOST.apply(inst), "mc").ratio == F(299, 100)
 
 
 def test_median_is_optimal_for_social_cost_here():
     inst = build("median-context")
-    assert ratio(inst, MEDIAN, "sc") == 1
-    assert ratio(inst, MEDIAN, "mc") == F(10, 9)
+    assert evaluate(inst, MEDIAN.apply(inst), "sc").ratio == 1
+    assert evaluate(inst, MEDIAN.apply(inst), "mc").ratio == F(10, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def test_no_mechanism_beats_the_optimum(data):
     opt = optimal(inst, objective).value
     for mech in (LEFTMOST, MEDIAN, RD):
         assert outcome_cost(inst, mech.apply(inst), objective) >= opt
-        assert ratio(inst, mech, objective) >= 1
+        assert evaluate(inst, mech.apply(inst), objective).ratio >= 1
 
 
 @given(data=st.data())

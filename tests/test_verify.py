@@ -28,7 +28,7 @@ from flgames.mechanisms import (
     dictator_spec,
     wpv_spec,
 )
-from flgames.solver import INFINITE_RATIO, GuardExceeded, ratio
+from flgames.solver import INFINITE_RATIO, GuardExceeded, evaluate
 from flgames.verify import (
     _cell_firsts,
     _far_missing,
@@ -879,6 +879,6 @@ def test_replay_rejects_bad_arguments():
 def test_infinite_ratio_never_appears_for_these_rules():
     # all agents on one candidate: the optimum is 0 and so is the cost
     inst = line_instance((1, 1), (1, 3), k=1)
-    assert ratio(inst, LEFTMOST, "mc") == 1
-    assert ratio(inst, RD, "sc") == 1
+    assert evaluate(inst, LEFTMOST.apply(inst), "mc").ratio == 1
+    assert evaluate(inst, RD.apply(inst), "sc").ratio == 1
     assert INFINITE_RATIO > 1  # marker stays comparable either way
