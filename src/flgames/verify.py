@@ -32,21 +32,20 @@ member's report (MechanismSpec.cells) splits the member's reports into
 classes: on the line the cells its breakpoints cut, the open gaps
 between the points and each point on its own; on a finite metric the
 points with one key, such as one nearest candidate.  All joint reports
-putting every member in the same class have one outcome.  The search
-then tries, for each member, only the first of its options in each
-class, in scan order, and on a finite metric none in the member's own
-class.  This returns the same witness.  A member reporting in its own
-class gives the truthful outcome, so the coalition without it, which
-the size-ascending scan meets first, holds a witness too; replacing
-each member's report in the first witness by the first option of its
-class gives a profile with the same outcome, so a witness too, and no
-later in scan order, so the first witness itself.  It is therefore a
-profile of first options outside the members' own classes, and the
-reduced scan meets it after exactly the profiles of such options the
-full scan meets before it.  A clean result still covers every joint
-report the count names; only the rule calls fall.  A feature's classes
-and each agent's first options in them are found once per search.  A
-rule that declares nothing is handed every joint report.
+putting every member in the same class have one outcome.  On both
+spaces the search then tries, for each member, the first point of each
+class in scan order, skipping the class that holds its location.  This
+returns the same witness.  A member reporting in its own class
+gives the truthful outcome, so the coalition without it, which the
+size-ascending scan meets first, holds a witness too; replacing each
+member's report in the first witness by the first point of its class
+gives a profile with the same outcome, so a witness too, and no later
+in scan order, so the first witness itself.  The reduced scan meets it
+after exactly the profiles of such first points the full scan meets
+before it.  A clean result still covers every joint report the count
+names; only the rule calls fall.  A feature's classes, and each agent's
+first points outside its own, are found once per search.  A rule that
+declares nothing is handed every joint report.
 
 The search costs every outcome on the core's integer cost table of the
 true agents (distance_rows).  For a deterministic rule it first cuts
@@ -55,7 +54,8 @@ member's cost strictly.  This is exact: whatever the members report,
 the rule answers with some k-multiset, so such a coalition cannot hold
 a witness, and the scan order and witnesses are unchanged.  For the
 rest, a shifted outcome is a witness exactly when its selection, in the
-order the rule reports it, is one of those multisets in some order.
+order the rule reports it, holds for each member a candidate strictly
+nearer than its truthful cost, read off the member's row.
 Lotteries (rd, wpv) are not cut, because a mix of selections can help
 every member in expectation when no single selection does; only a
 coalition with a member already at cost 0 is skipped.  A lottery's
@@ -227,40 +227,40 @@ def _cell_firsts(options: tuple[int, ...], breakpoints) -> list[int]:
     return sorted(d for d in starts if d < len(options))
 
 
-def _cell_options(options: tuple[int, ...], breakpoints) -> tuple[int, ...]:
-    """The first of the ascending int options in each cell, ascending."""
-    return tuple(map(options.__getitem__, _cell_firsts(options, breakpoints)))
+def _cell_key(breakpoints, v: int) -> int:
+    """The cell of the int v that the sorted doubled breakpoints cut, as
+    2p in the gap below breakpoint p (0-based), 2p + 1 on it."""
+    return bisect_left(breakpoints, 2 * v) + bisect_right(breakpoints, 2 * v)
 
 
-class _ClassOptions(dict):
-    """Per feature a rule's cells name, its cut on the search's space
-    over the stored candidates; per (feature, agent), the agent's first
-    option in each class of that cut, in scan order: on the line in each
-    cell, on a finite metric in each class but the agent's own.  Each is
-    found the first time it is asked for and kept for the rest of the
-    search."""
+class _Reports(dict):
+    """Per feature a rule's cells name, what each agent tries as a
+    coalition member: the first points of the classes of the feature's
+    cut over the stored candidates, but of its own class.  Found for
+    every agent the first time the feature is asked for, and kept for
+    the rest of the search."""
 
-    __slots__ = ("space", "stored", "options")
+    __slots__ = ("space", "stored", "points")
 
-    def __init__(self, space, stored: tuple, options: list):
-        self.space, self.stored, self.options = space, stored, options
+    def __init__(self, space, stored: tuple, points: tuple):
+        self.space, self.stored, self.points = space, stored, points
 
-    def __missing__(self, key):
-        if callable(key):
-            value = key(self.space, self.stored[1])
-        elif isinstance(self.space, Line):
-            feature, i = key
-            value = _cell_options(self.options[i - 1], self[feature])
-        else:
-            feature, i = key
-            cut, firsts = self[feature], {}
-            own = cut[self.stored[0][i - 1] - 1]
-            for point in self.options[i - 1]:
-                if cut[point - 1] != own:
-                    firsts.setdefault(cut[point - 1], point)
-            value = tuple(firsts.values())
-        self[key] = value
+    def __missing__(self, feature):
+        value = self[feature] = self.outside(feature(self.space, self.stored[1]), self.stored[0])
         return value
+
+    def outside(self, cut, locations) -> list:
+        """For each int location, the first points of the cut's nonempty
+        classes, ascending, but of the one holding it: on the line the
+        cells of its breakpoints, on a finite metric its keys."""
+        points = self.points
+        if isinstance(self.space, Line):
+            firsts = [(_cell_key(cut, points[d]), points[d]) for d in _cell_firsts(points, cut)]
+            owns = [_cell_key(cut, x) for x in locations]
+        else:
+            firsts = [(key, cut.index(key) + 1) for key in dict.fromkeys(cut)]
+            owns = [cut[x - 1] for x in locations]
+        return [tuple(point for key, point in firsts if key != own) for own in owns]
 
 
 class _SelectionCosts(dict):
@@ -301,8 +301,9 @@ def find_group_deviation(
     idle member implies a smaller-coalition witness, which the
     size-ascending scan finds first.  Each agent tries every point of
     misreport_set(instance, grid_points, guard, max_coalition) but its
-    own location, or, for a rule that declares cells, the first of those
-    in each of its classes (on a finite metric, each but its own).
+    own location, or, for a rule that declares cells, the first point of
+    each class but the one holding its location, on either space; each
+    cut's classes are found once per search.
     Raises what misreport_set raises, before building the set, and then,
     for a deterministic rule, GuardExceeded if the candidate multisets
     the cut enumerates exceed the guard.
@@ -310,33 +311,29 @@ def find_group_deviation(
     n = instance.n
     points, stored = _misreports(instance, grid_points, guard, max_coalition)
     agents, candidates = stored[:2]
-    options = [points[:j] + points[j + 1 :] for j in map(points.index, agents)]
     truthful = mechanism.apply(instance)
     table = distance_rows(instance)
-    # each agent's truthful cost, as an int over one positive denominator
-    base_costs = [row_cost(row, truthful)[0] for row in table]
-    base_denominator = truthful.scaled[2]
     deterministic = isinstance(truthful, Deterministic)
     if deterministic:
-        selections = list(candidate_multisets(instance, guard))
-        # per agent, every order of each selection that would strictly lower
-        # its cost, since a rule may report its facilities in any order
-        gains = [
-            {
-                order
-                for sel in selections
-                if min(row[j - 1] for j in sel) < cost
-                for order in itertools.permutations(sel)
-            }
-            for row, cost in zip(table, base_costs)
-        ]
+        candidate_multisets(instance, guard)  # refuses the cut past the guard
+        # per agent, the orders of k candidates holding one strictly nearer
+        # than its truthful cost, as a rule may report its facilities in any order
+        orders = list(itertools.product(range(1, instance.m + 1), repeat=instance.k))
+        gains = []
+        for row in table:
+            cost = min(row[j - 1] for j in truthful.selection)
+            nearer = {j for j, d in enumerate(row, 1) if d < cost}
+            gains.append({order for order in orders if not nearer.isdisjoint(order)})
     else:
-        # per agent, its cost for each selection a shifted lottery holds
+        # per agent, its truthful cost as an int over the lottery's
+        # denominator, and its cost for each selection a shifted lottery holds
+        base_costs = [row_cost(row, truthful)[0] for row in table]
+        base_denominator = truthful.scaled[2]
         costs = [_SelectionCosts(row) for row in table]
     # a rule that declares no cells is handed every joint report
     declared = getattr(mechanism, "cells", None)
     line = isinstance(instance.space, Line)
-    classes = _ClassOptions(instance.space, stored, options)
+    reports = _Reports(instance.space, stored, points)
     # every agent outside the coalition keeps its one truthful report, so
     # product() yields whole profiles, the last member's report fastest;
     # each arrives with the rest of the stored triple, `carried`
@@ -353,13 +350,14 @@ def find_group_deviation(
                 continue
             cuts = declared(agents, candidates, coalition) if declared else None
             if cuts is None:
-                members = [options[i - 1] for i in coalition]
+                spots = [points.index(agents[i - 1]) for i in coalition]
+                members = [points[:j] + points[j + 1 :] for j in spots]
             else:
-                # each member's first option in each of its classes; on a
-                # finite metric a member with no feature is idle
+                # each member's first point in each class but its own; on
+                # a finite metric a member with no feature is idle
                 members = [
-                    classes[cut, i] if callable(cut)
-                    else _cell_options(options[i - 1], cut) if line
+                    reports[cut][i - 1] if callable(cut)
+                    else reports.outside(cut, (agents[i - 1],))[0] if line
                     else ()
                     for i, cut in zip(coalition, cuts)
                 ]

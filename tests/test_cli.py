@@ -672,6 +672,38 @@ def test_replay_json_bytes_are_pinned(capsys, construction, mechanism):
     assert stdout_sha256(capsys, argv) == PINNED_REPLAYS[construction, mechanism]
 
 
+PINNED_VERIFIES = {
+    # a witness at coalition (2, 3)
+    "line-rd-group-2": (
+        ["golden_line_n5_m4_seed42_idx3.json", "--mechanism", "rd", "--group-max", "2"],
+        "896693a67051c0095cc6df9d37042bf0c3b59cf0105632fb981e877580840dbe",
+    ),
+    # clean over every coalition
+    "line-leftmost-group-5-grid-9": (
+        ["golden_line_n5_m4_seed42_idx3.json", "--mechanism", "leftmost"]
+        + ["--group-max", "5", "--grid", "9"],
+        "f5a25b14d98dc32933500c255c8fd80dc6d370e062412ea9edcafe7e61bec616",
+    ),
+    "line-mean-group-2-grid-9": (
+        ["golden_line_n5_m4_seed42_idx3.json", "--mechanism", "mean"]
+        + ["--group-max", "2", "--grid", "9"],
+        "e9d64663b9fa57fbc35618e775c8bc00a79be6f35a1eb238ee563d43e720dcd8",
+    ),
+    "metric-rd-group-2": (
+        ["metric_n3_m2_k1.json", "--mechanism", "rd", "--group-max", "2"],
+        "8cac1b4ac8d5f14956c95fa009e94d305147958a17239015181f278e75058013",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_VERIFIES))
+def test_verify_json_bytes_are_pinned(capsys, case):
+    """Witnesses and searched blocks on the data files, so a search that
+    calls the rule less often must keep every byte."""
+    (name, *flags), digest = PINNED_VERIFIES[case]
+    assert stdout_sha256(capsys, ["verify", str(GOLDEN.parent / name), *flags]) == digest
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -414,10 +414,54 @@ def test_search_skips_coalitions_no_selection_can_help_but_not_lotteries():
     assert find_group_deviation(inst, lottery, max_coalition=3, grid_points=3) is None
     assert lottery.calls == 1 + joint_misreport_count(inst.n, len(misreports) - 1, 3)
     # rd's line cells are cut at candidate midpoints only, so with one
-    # candidate every member's reports make one cell: one call per coalition
+    # candidate each member's only cell is its own, which it skips: no
+    # coalition makes a call
     declaring = DeclaringLockstep(RD)
     assert find_group_deviation(inst, declaring, max_coalition=3, grid_points=3) is None
-    assert declaring.calls == 1 + 7
+    assert declaring.calls == 1
+
+
+def share_a_cell(breakpoints, a, b):
+    """Whether no doubled breakpoint tells the ints a and b apart: each
+    lies on the same side of every breakpoint, or on it."""
+    return all((2 * a > p) - (2 * a < p) == (2 * b > p) - (2 * b < p) for p in breakpoints)
+
+
+class OwnCellWatch(DeclaringLockstep):
+    """A line rule that forwards the wrapped rule's cells, if it declares
+    any, and checks that no member of the coalition they were last asked
+    for is handed its own location, or, where cells were declared, a
+    report in the cell of its own location."""
+
+    coalition = None
+
+    def cells(self, agents, candidates, coalition):
+        self.agents, self.coalition = agents, coalition
+        self.cuts = super().cells(agents, candidates, coalition)
+        return self.cuts
+
+    def apply(self, instance):
+        if self.coalition is not None:
+            reports, candidates, _ = instance.scaled
+            for d, i in enumerate(self.coalition):
+                x, report = self.agents[i - 1], reports[i - 1]
+                assert report != x
+                if self.cuts is not None:
+                    cut = self.cuts[d]
+                    cut = cut(instance.space, candidates) if callable(cut) else cut
+                    assert not share_a_cell(cut, report, x), (i, report, x, cut)
+        return super().apply(instance)
+
+
+@given(case=tie_profiles(), max_coalition=st.integers(1, 3), grid_points=st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_no_member_is_handed_a_report_in_its_own_cell(case, max_coalition, grid_points):
+    """On profiles with agents on candidates and on candidate midpoints,
+    where an agent's own cell can be its location alone, every report a
+    member is handed lies outside that cell."""
+    mechanism, instance = case
+    max_coalition = min(max_coalition, instance.n)
+    find_group_deviation(instance, OwnCellWatch(mechanism), max_coalition, grid_points)
 
 
 @st.composite
@@ -518,11 +562,12 @@ def test_every_profile_arrives_with_its_own_ints():
         # no coalition and only the truthful profile arrives
         (Lockstep, RD, METRIC_FIXTURE, 125),
         (Lockstep, dictator_spec(1), METRIC_FIXTURE, 1),
-        # the same searches, one report per member and cell: the first
-        # report of each cell arrives with its own ints and the scale
-        (DeclaringLockstep, RD, family, 175),
-        (DeclaringLockstep, LEFTMOST, family, 16),
-        (DeclaringLockstep, MEAN, PAIR_TRAP, 52),
+        # the same searches, one report per member and cell but its own:
+        # the first report of each cell arrives with its own ints and the
+        # scale
+        (DeclaringLockstep, RD, family, 65),
+        (DeclaringLockstep, LEFTMOST, family, 9),
+        (DeclaringLockstep, MEAN, PAIR_TRAP, 50),
         (DeclaringLockstep, MEAN_AND_MEDIAN, pair, 10),
         # on the metric, one report per nearest-candidate class, none in
         # the member's own: each of rd's 7 coalitions tries one profile
