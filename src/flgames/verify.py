@@ -34,8 +34,11 @@ between the points and each point on its own; on a finite metric the
 points with one key, such as one nearest candidate.  All joint reports
 putting every member in the same class have one outcome.  On both
 spaces the search then tries, for each member, the first point of each
-class in scan order, skipping the class that holds its location.  This
-returns the same witness.  A member reporting in its own class
+class in scan order, skipping the class that holds its location; a
+member whose cut is empty has one class, its own, so a coalition holding
+it is skipped before any report is built (under dictator:i, every
+coalition holding an agent but the dictator).  This returns the same
+witness.  A member reporting in its own class
 gives the truthful outcome, so the coalition without it, which the
 size-ascending scan meets first, holds a witness too; replacing each
 member's report in the first witness by the first point of its class
@@ -52,13 +55,18 @@ true agents (distance_rows).  For a deterministic rule it first cuts
 every coalition for which no k-multiset of candidates lowers every
 member's cost strictly.  This is exact: whatever the members report,
 the rule answers with some k-multiset, so such a coalition cannot hold
-a witness, and the scan order and witnesses are unchanged.  For the
-rest, a shifted outcome is a witness exactly when its selection, in the
-order the rule reports it, holds for each member a candidate strictly
-nearer than its truthful cost, read off the member's row.
+a witness, and the scan order and witnesses are unchanged.  The cut
+runs on int bitmasks: per agent, the candidates strictly nearer than its
+truthful cost, read off its row; per multiset the guard counts
+(solver.candidate_multisets, comb(m + k - 1, k) of them), its candidates
+and the agents it holds such a candidate for.  Only hopeful agents, those
+with a nearer candidate, enter coalitions; a coalition's winning
+multisets are those whose agents cover it, and a shifted outcome is a
+witness exactly when its selection's candidates, in whatever order and
+with whatever repeats the rule reports them, are a winning multiset's.
 Lotteries (rd, wpv) are not cut, because a mix of selections can help
-every member in expectation when no single selection does; only a
-coalition with a member already at cost 0 is skipped.  A lottery's
+every member in expectation when no single selection does; only agents
+with a truthful cost above 0 enter coalitions.  A lottery's
 member cost is an int over the lottery's denominator, read through its
 int form (Randomized.scaled) from a per-search lookup of the member's
 cost for each selection, filled off the same table the first time a
@@ -264,9 +272,9 @@ class _Reports(dict):
 
 
 class _SelectionCosts(dict):
-    """One agent's cost for each selection looked up, read off its row of
-    the table (core.row_cost) the first time that selection is asked for
-    and kept for the rest of the search."""
+    """One agent's cost for each selection looked up, its least entry of
+    the agent's row of the table over the selection, read the first time
+    that selection is asked for and kept for the rest of the search."""
 
     __slots__ = ("row",)
 
@@ -274,7 +282,8 @@ class _SelectionCosts(dict):
         self.row = row
 
     def __missing__(self, selection: tuple[int, ...]) -> int:
-        cost = self[selection] = row_cost(self.row, Deterministic._trusted(selection))[0]
+        row = self.row
+        cost = self[selection] = min(row[j - 1] for j in selection)
         return cost
 
 
@@ -299,37 +308,48 @@ def find_group_deviation(
 
     Members reporting truthfully are not enumerated: a witness with an
     idle member implies a smaller-coalition witness, which the
-    size-ascending scan finds first.  Each agent tries every point of
-    misreport_set(instance, grid_points, guard, max_coalition) but its
-    own location, or, for a rule that declares cells, the first point of
-    each class but the one holding its location, on either space; each
-    cut's classes are found once per search.
+    size-ascending scan finds first.  Under a deterministic rule only
+    agents with a candidate strictly nearer than their truthful cost
+    join coalitions, and a coalition is searched only if one multiset of
+    candidates the guard counts holds such a candidate for every member;
+    under a lottery only agents with a truthful cost above 0 join.  Each
+    agent tries every point of misreport_set(instance, grid_points,
+    guard, max_coalition) but its own location, or, for a rule that
+    declares cells, the first point of each class but the one holding
+    its location, on either space; each cut's classes are found once per
+    search, and a coalition with a member whose cut is empty, so idle,
+    is skipped.
     Raises what misreport_set raises, before building the set, and then,
     for a deterministic rule, GuardExceeded if the candidate multisets
     the cut enumerates exceed the guard.
     """
-    n = instance.n
     points, stored = _misreports(instance, grid_points, guard, max_coalition)
     agents, candidates = stored[:2]
     truthful = mechanism.apply(instance)
     table = distance_rows(instance)
     deterministic = isinstance(truthful, Deterministic)
     if deterministic:
-        candidate_multisets(instance, guard)  # refuses the cut past the guard
-        # per agent, the orders of k candidates holding one strictly nearer
-        # than its truthful cost, as a rule may report its facilities in any order
-        orders = list(itertools.product(range(1, instance.m + 1), repeat=instance.k))
-        gains = []
+        # per agent, the candidates strictly nearer than its truthful cost,
+        # as bits; per multiset the guard counts, its candidates as bits
+        # (k <= 2, so its ends are all of them) and, as bits, the agents it
+        # holds such a candidate for
+        near = []
         for row in table:
             cost = min(row[j - 1] for j in truthful.selection)
-            nearer = {j for j, d in enumerate(row, 1) if d < cost}
-            gains.append({order for order in orders if not nearer.isdisjoint(order)})
+            near.append(sum(1 << j for j, d in enumerate(row, 1) if d < cost))
+        helps = []
+        for s in candidate_multisets(instance, guard):
+            bits = (1 << s[0]) | (1 << s[-1])
+            helps.append((bits, sum(1 << i for i, mask in enumerate(near, 1) if mask & bits)))
+        hopeful = [i for i, mask in enumerate(near, 1) if mask]
     else:
         # per agent, its truthful cost as an int over the lottery's
-        # denominator, and its cost for each selection a shifted lottery holds
+        # denominator, and its cost for each selection a shifted lottery
+        # holds; an agent already at cost 0 can never strictly improve
         base_costs = [row_cost(row, truthful)[0] for row in table]
         base_denominator = truthful.scaled[2]
         costs = [_SelectionCosts(row) for row in table]
+        hopeful = [i for i, cost in enumerate(base_costs, 1) if cost]
     # a rule that declares no cells is handed every joint report
     declared = getattr(mechanism, "cells", None)
     line = isinstance(instance.space, Line)
@@ -340,18 +360,22 @@ def find_group_deviation(
     truthful_choices = [(x,) for x in agents]
     carried = [itertools.repeat(x) for x in stored[1:]]
     for size in range(1, max_coalition + 1):
-        for coalition in itertools.combinations(range(1, n + 1), size):
+        for coalition in itertools.combinations(hopeful, size):
             if deterministic:
-                winning = set.intersection(*(gains[i - 1] for i in coalition))
+                # the bits of the multisets holding for every member a
+                # candidate strictly nearer than its truthful cost
+                mask = sum(1 << i for i in coalition)
+                winning = {bits for bits, helped in helps if helped & mask == mask}
                 if not winning:
                     continue
-            elif any(base_costs[i - 1] == 0 for i in coalition):
-                # a member already at cost 0 can never strictly improve
-                continue
             cuts = declared(agents, candidates, coalition) if declared else None
             if cuts is None:
                 spots = [points.index(agents[i - 1]) for i in coalition]
                 members = [points[:j] + points[j + 1 :] for j in spots]
+            elif not all(cuts):
+                # a member whose cut is empty has one class, its own, so is
+                # idle, and the smaller coalition without it came first
+                continue
             else:
                 # each member's first point in each class but its own; on
                 # a finite metric a member with no feature is idle
@@ -369,7 +393,8 @@ def find_group_deviation(
                 profile = Instance._trusted(instance.space, instance.k, form)
                 shifted = mechanism.apply(profile)
                 if deterministic:
-                    if shifted.selection not in winning:
+                    selection = shifted.selection
+                    if (1 << selection[0]) | (1 << selection[-1]) not in winning:
                         continue
                 elif not all(
                     _lowers(costs[i - 1], shifted, base_costs[i - 1], base_denominator)

@@ -693,6 +693,17 @@ PINNED_VERIFIES = {
         ["metric_n3_m2_k1.json", "--mechanism", "rd", "--group-max", "2"],
         "8cac1b4ac8d5f14956c95fa009e94d305147958a17239015181f278e75058013",
     ),
+    # clean; every coalition holding another agent than the dictator has an
+    # idle member
+    "line-dictator-2-group-3-grid-9": (
+        ["golden_line_n5_m4_seed42_idx3.json", "--mechanism", "dictator:2"]
+        + ["--group-max", "3", "--grid", "9"],
+        "e1d3cc031e3f1c86579ecd9d0f6ed8a07d6b4cf1c6a8a16f53e305744812cb52",
+    ),
+    "metric-dictator-1-group-3": (
+        ["metric_n3_m2_k1.json", "--mechanism", "dictator:1", "--group-max", "3"],
+        "534e07259d602af10c154404b278afdfa627a3512dca4cac29fa229e26b577f9",
+    ),
 }
 
 

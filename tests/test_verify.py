@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
@@ -43,6 +44,7 @@ from flgames.verify import (
 
 from reference import (
     ref_closest_line,
+    ref_outcome_agent_cost,
     reference_group,
     reference_misreport_points,
     reference_unilateral,
@@ -462,6 +464,68 @@ def test_no_member_is_handed_a_report_in_its_own_cell(case, max_coalition, grid_
     mechanism, instance = case
     max_coalition = min(max_coalition, instance.n)
     find_group_deviation(instance, OwnCellWatch(mechanism), max_coalition, grid_points)
+
+
+class CutWatch(DeclaringLockstep):
+    """DeclaringLockstep that records, in order, each coalition the search
+    asks it for cells: every coalition that the search's cut lets by."""
+
+    def __init__(self, rule):
+        super().__init__(rule)
+        self.asked = []
+
+    def cells(self, agents, candidates, coalition):
+        self.asked.append(coalition)
+        return super().cells(agents, candidates, coalition)
+
+
+DECLARING_DETERMINISTIC = (LEFTMOST, MEDIAN, MEAN, dictator_spec(1), TWO_EXTREMES)
+
+
+@st.composite
+def cut_cases(draw):
+    """A deterministic rule that declares cells and a line profile for it:
+    a tie profile, or one with co-located and eps-apart candidates, agents
+    on candidates and on midpoints, any dictator, and k = 2 for
+    two-extremes, whose pair comes index-descending when the candidates
+    are listed right to left."""
+    if draw(st.booleans()):
+        return draw(tie_profiles().filter(lambda case: case[0] in DECLARING_DETERMINISTIC))
+    instance = draw(tie_instances(HALVES, base_count=(1, 3), agent_count=(1, 4)))
+    if instance.k == 2:
+        return TWO_EXTREMES, instance
+    rules = [LEFTMOST, MEDIAN, MEAN, dictator_spec(draw(st.integers(1, instance.n)))]
+    return draw(st.sampled_from(rules)), instance
+
+
+@given(case=cut_cases(), max_coalition=st.integers(1, 3), grid_points=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_the_cut_lets_by_exactly_the_coalitions_some_multiset_helps(
+    case, max_coalition, grid_points
+):
+    """A deterministic rule answers with some k-multiset of candidates, so
+    the search asks for the cells of exactly the coalitions, in scan
+    order, for which one lowers every member's cost, up to the witness's."""
+    mechanism, instance = case
+    max_coalition = min(max_coalition, instance.n)
+    watch = CutWatch(mechanism)
+    witness = find_group_deviation(instance, watch, max_coalition, grid_points)
+    truthful = mechanism.apply(instance)
+    base = [ref_outcome_agent_cost(instance, truthful, i) for i in range(1, instance.n + 1)]
+    multisets = itertools.combinations_with_replacement(range(1, instance.m + 1), instance.k)
+    costs = [
+        [ref_outcome_agent_cost(instance, Deterministic(s), i) for i in range(1, instance.n + 1)]
+        for s in multisets
+    ]
+    expected = [
+        coalition
+        for size in range(1, max_coalition + 1)
+        for coalition in itertools.combinations(range(1, instance.n + 1), size)
+        if any(all(row[i - 1] < base[i - 1] for i in coalition) for row in costs)
+    ]
+    if witness is not None:
+        expected = expected[: expected.index(witness.coalition) + 1]
+    assert watch.asked == expected
 
 
 @st.composite
